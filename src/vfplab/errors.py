@@ -10,7 +10,7 @@ class ConfigurationError(VfpError):
 
 
 class DivergenceError(VfpError):
-    """A simulation produced non-finite values."""
+    """A simulation diverged numerically (the CLI exits with code 2)."""
 
     def __init__(self, message: str, t: float | None = None,
                  max_velocity: float | None = None):
@@ -19,7 +19,7 @@ class DivergenceError(VfpError):
         self.max_velocity = max_velocity
 
 
-class SchemeError(VfpError):
+class SchemeError(DivergenceError):
     """A grid step violated positivity or conservation beyond tolerance."""
 
 

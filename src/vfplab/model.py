@@ -42,9 +42,9 @@ class InteractionKernel:
     builtin kernels and trusted for custom ones, because the small-interaction
     predicate has to be a certificate, not an estimate.
 
-    ``pair_sum``, when present, evaluates sum_j d1(x_i - x_j) over all j
-    (including j = i) exactly in O(N); it exists only for kernels with an
-    algebraic reduction and must agree with direct summation to rounding.
+    ``pair_sum``, when present, evaluates sum_j d1(x_i - x_j) over all j (including
+    j = i) along the last axis of an (..., N) array exactly in O(N); it exists only for
+    kernels with an algebraic reduction and must agree with direct summation to rounding.
     """
 
     name: str
@@ -134,7 +134,7 @@ def builtin_kernel(spec: Union[str, dict, InteractionKernel]) -> InteractionKern
 
         def pair_sum(x: Array) -> Array:
             x = _as_float_array(x)
-            return 2.0 * a * (x.size * x - x.sum()) + x.size * b
+            return 2.0 * a * (x.shape[-1] * x - x.sum(axis=-1, keepdims=True)) + x.shape[-1] * b
 
         return InteractionKernel(
             name=f"quadratic_linear(a={a:g}, b={b:g})",
@@ -154,7 +154,7 @@ def builtin_kernel(spec: Union[str, dict, InteractionKernel]) -> InteractionKern
             # sum_j cos(x_i - x_j) = cos(x_i) * sum_j cos(x_j) + sin(x_i) * sum_j sin(x_j)
             x = _as_float_array(x)
             cx, sx = np.cos(x), np.sin(x)
-            return c * (cx * cx.sum() + sx * sx.sum())
+            return c * (cx * cx.sum(axis=-1, keepdims=True) + sx * sx.sum(axis=-1, keepdims=True))
 
         return InteractionKernel(
             name=f"sine(amplitude={c:g})",

@@ -11,7 +11,6 @@ is deterministic given the two trajectories; its modified norm
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -99,8 +98,8 @@ def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array
     """Standard normal draws for one step, from a counter-based generator.
 
     Draw i is a pure function of (seed, stream, step_index, i): re-running with
-    the same arguments is bit-identical regardless of particle count, replica
-    scheduling, or thread count.  The step index sits in the second counter
+    the same arguments is bit-identical regardless of particle count or of how
+    replicas are batched.  The step index sits in the second counter
     word, so one step can consume up to 2^64 counter blocks before touching
     the next step's stream.
     """
@@ -111,31 +110,31 @@ def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array
 
 
 def direct_pairwise_force(params: ModelParams, x: Array, chunk: int = 1024) -> Array:
-    """F_i = (1/(N-1)) sum_{j != i} dK/dx(x_i - x_j) by direct double summation."""
+    """F_i = (1/(N-1)) sum_{j != i} dK/dx(x_i - x_j) directly, per row of the last axis."""
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1] if x.ndim else 0
     if n < 2:
         raise ValueError("pairwise force needs at least 2 particles")
     d1 = params.kernel.d1
     diag = float(np.asarray(d1(0.0)))
-    out = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        out[lo:hi] = np.asarray(d1(x[lo:hi, None] - x[None, :])).sum(axis=1)
-    return (out - diag) / (n - 1)
+
+    def row_sums(row):
+        return np.concatenate([np.asarray(d1(row[lo:lo + chunk, None] - row)).sum(axis=1)
+                               for lo in range(0, n, chunk)])
+
+    return (np.apply_along_axis(row_sums, -1, x) - diag) / (n - 1)
 
 
 def pairwise_force(params: ModelParams, x: Array) -> Array:
-    """Pairwise mean force; uses the kernel's exact O(N) reduction when it has one."""
+    """Pairwise mean force on (..., N) positions; exact O(N) reduction when the kernel has one."""
+    ps = params.kernel.pair_sum
+    if ps is None:
+        return direct_pairwise_force(params, x)
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1] if x.ndim else 0
     if n < 2:
         raise ValueError("pairwise force needs at least 2 particles")
-    ps = params.kernel.pair_sum
-    if ps is not None:
-        diag = float(np.asarray(params.kernel.d1(0.0)))
-        return (ps(x) - diag) / (n - 1)
-    return direct_pairwise_force(params, x)
+    return (ps(x) - float(np.asarray(params.kernel.d1(0.0)))) / (n - 1)
 
 
 def force_jacobian_norm_bound_check(params: ModelParams, x: Array, u: Array,
@@ -151,26 +150,12 @@ def force_jacobian_norm_bound_check(params: ModelParams, x: Array, u: Array,
     return float(np.linalg.norm(fd)), 2.0 * params.kernel.d2_sup
 
 
-def _check_finite(x: Array, v: Array, t: float):
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        finite_v = v[np.isfinite(v)]
-        max_v = float(np.abs(finite_v).max()) if finite_v.size else math.inf
-        raise DivergenceError(f"non-finite particle state at t={t:g}", t=t, max_velocity=max_v)
-
-
-def step(state: ParticleState, params: ModelParams, cfg: SimConfig,
-         noise: Array) -> ParticleState:
-    """Advance one time step with the configured integrator.
-
-    ``noise`` must hold N standard normal draws; passing it in keeps the
-    stepper pure and lets a coupled pair share increments exactly.
-    """
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != state.x.shape:
-        raise ValueError("noise must have one draw per particle")
+def _advance(x: Array, v: Array, params: ModelParams, cfg: SimConfig, noise: Array,
+             t: float) -> tuple[Array, Array]:
+    """One integrator step, reaching time ``t``, on (..., N) arrays (one system per row);
+    ``noise`` broadcasts against ``x``, so coupled copies can share its rows."""
     dt = cfg.dt
     gamma, lam = params.gamma, params.lam
-    x, v = state.x, state.v
 
     if cfg.integrator == "euler_maruyama":
         force = pairwise_force(params, x)
@@ -184,8 +169,25 @@ def step(state: ParticleState, params: ModelParams, cfg: SimConfig,
         v_new = damp * v - (x_half + lam * force) * dt + kick * noise
         x_new = x_half + 0.5 * dt * v_new
 
-    t_new = state.t + dt
-    _check_finite(x_new, v_new, t_new)
+    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
+        finite_v = v_new[np.isfinite(v_new)]
+        max_v = float(np.abs(finite_v).max()) if finite_v.size else math.inf
+        raise DivergenceError(f"non-finite particle state at t={t:g}", t=t, max_velocity=max_v)
+    return x_new, v_new
+
+
+def step(state: ParticleState, params: ModelParams, cfg: SimConfig,
+         noise: Array) -> ParticleState:
+    """Advance one time step with the configured integrator.
+
+    ``noise`` must hold N standard normal draws; passing it in keeps the
+    stepper pure and lets a coupled pair share increments exactly.
+    """
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != state.x.shape:
+        raise ValueError("noise must have one draw per particle")
+    t_new = state.t + cfg.dt
+    x_new, v_new = _advance(state.x, state.v, params, cfg, noise, t_new)
     return ParticleState(x=x_new, v=v_new, t=t_new)
 
 
@@ -259,45 +261,19 @@ class ContractionReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma, "lam": self.lam, "kernel": self.kernel,
-            "n_particles": self.n_particles, "dt": self.dt, "horizon": self.horizon,
-            "replicas": self.replicas, "seed": self.seed, "integrator": self.integrator,
-            "rate": self.rate,
-            "times": self.times.tolist(),
-            "modified_norm_sq": self.modified_norm_sq.tolist(),
-            "euclid_sq": self.euclid_sq.tolist(),
-            "fitted_rate": self.fitted_rates.tolist(),
-            "worst_ratio_modified": self.worst_ratio_modified,
-            "worst_ratio_euclid": self.worst_ratio_euclid,
-            "envelope_ok": self.envelope_ok,
-            "smallness": self.smallness,
-            "warnings": self.warnings,
-        }
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+        out["fitted_rate"] = out.pop("fitted_rates")
+        return out
 
 
-def _contraction_replica(params: ModelParams, cfg: SimConfig, n_particles: int,
-                         n_steps: int, sample_every: int, replica: int,
-                         ) -> tuple[Array, Array, Array]:
-    constants = coupling_constants(params.gamma)
+def _contraction_replica(cfg: SimConfig, n_particles: int, replica: int) -> Array:
+    """Seeded initial state of one coupled replica: [[x, x~], [v, v~]], shape (2, 2, N)."""
     rng = np.random.default_rng([cfg.seed, replica, 2718])
     x = rng.normal(0.0, 1.0, n_particles)
     v = rng.normal(0.0, 1.0, n_particles)
     dx = 2.0 + 0.25 * rng.normal(size=n_particles)
     dv = -1.0 + 0.25 * rng.normal(size=n_particles)
-    pair = CoupledPair(z=ParticleState(x=x, v=v),
-                       z_tilde=ParticleState(x=x + dx, v=v + dv))
-    times = [0.0]
-    mods = [modified_norm_sq(pair, constants)]
-    eucs = [euclidean_norm_sq(pair)]
-    for k in range(n_steps):
-        noise = noise_for_step(cfg.seed, k, n_particles, stream=replica)
-        pair = coupled_step(pair, params, cfg, noise)
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            times.append(pair.z.t)
-            mods.append(modified_norm_sq(pair, constants))
-            eucs.append(euclidean_norm_sq(pair))
-    return np.array(times), np.array(mods), np.array(eucs)
+    return np.array([[x, x + dx], [v, v + dv]])
 
 
 def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int,
@@ -307,8 +283,9 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
 
     The modified squared norm is checked against exp(-(a/4) t) with slack
     (1 + 10 dt); the Euclidean squared norm against 4 exp(-(a/4) t) with 5%
-    integrator slack.  Replicas run concurrently; noise streams are keyed by
-    (seed, replica, step), so scheduling cannot change results.
+    integrator slack.  All replicas and both copies of each pair advance as
+    one (replicas, 2, N) array per step; replica r draws its noise from stream
+    r, shared by its two copies, so results match stepping each pair alone.
     """
     if n_particles < 2:
         raise ConfigurationError("contraction experiment needs at least 2 particles")
@@ -325,15 +302,27 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
     if not small:
         warnings.append("smallness condition violated: contraction is not guaranteed")
 
-    with ThreadPoolExecutor(max_workers=min(replicas, 8)) as pool:
-        results = list(pool.map(
-            lambda r: _contraction_replica(params, cfg, n_particles, n_steps,
-                                           sample_every, r),
-            range(replicas)))
+    x, v = np.stack([_contraction_replica(cfg, n_particles, r) for r in range(replicas)], 1)
+    noise = np.empty((replicas, 1, n_particles))
+    t, times, norms = 0.0, [], []
 
-    times = results[0][0]
-    mods = np.stack([r[1] for r in results])
-    eucs = np.stack([r[2] for r in results])
+    def sample():
+        times.append(t)
+        pairs = [CoupledPair(ParticleState(x[r, 0], v[r, 0], t),
+                             ParticleState(x[r, 1], v[r, 1], t)) for r in range(replicas)]
+        norms.append([(modified_norm_sq(p, constants), euclidean_norm_sq(p)) for p in pairs])
+
+    sample()
+    for k in range(n_steps):
+        for r in range(replicas):
+            noise[r, 0] = noise_for_step(cfg.seed, k, n_particles, stream=r)
+        t += cfg.dt
+        x, v = _advance(x, v, params, cfg, noise, t)
+        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+            sample()
+
+    times = np.array(times)
+    mods, eucs = np.array(norms).transpose(2, 1, 0)   # each (replicas, samples)
 
     window = times >= horizon / 4.0
     fitted = np.array([

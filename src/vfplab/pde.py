@@ -10,6 +10,7 @@ Maxwellian exactly.  The mean-field force is frozen at the start of each step.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -156,12 +157,24 @@ def _bernoulli(w: Array) -> Array:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _fp_weights(Lv: float, nv: int) -> tuple[Array, Array, float]:
+    """Interface weights B(w), B(-w) (shared; do not modify), and gamma times the largest
+    dt keeping the explicit substep positive, dv^2 / max_j (B(w_j) + B(-w_{j-1}))."""
+    dv = 2.0 * Lv / nv
+    vc = -Lv + (np.arange(nv) + 0.5) * dv
+    w = 0.5 * (vc[:-1] + vc[1:]) * dv
+    bp, bm = _bernoulli(w), _bernoulli(-w)
+    bp.flags.writeable = bm.flags.writeable = False
+    return bp, bm, dv * dv / float((np.append(bp, 0.0) + np.append(0.0, bm)).max())
+
+
 def cfl_bound(grid: PhaseGrid, params: ModelParams, force: Optional[Array] = None) -> float:
     """Largest stable dt (before the safety factor) for the current state."""
     if force is None:
         force = mean_field_force(params, grid.x_centers, x_marginal(grid))
     speed = np.abs(force - grid.x_centers).max()
-    terms = [grid.dx / grid.Lv, grid.dv * grid.dv / (2.0 * params.gamma)]
+    terms = [grid.dx / grid.Lv, _fp_weights(grid.Lv, grid.nv)[2] / params.gamma]
     if speed > 0:
         terms.append(grid.dv / speed)
     return min(terms)
@@ -209,9 +222,7 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid
             f"dt={cfg.dt:g} violates the CFL budget {bound:g} at t={grid.t:g}")
 
     speed = force - xc
-    v_edges = 0.5 * (vc[:-1] + vc[1:])
-    w = v_edges * grid.dv
-    bp, bm = _bernoulli(w), _bernoulli(-w)
+    bp, bm, _ = _fp_weights(grid.Lv, grid.nv)
 
     data = grid.data.copy()
     dt = cfg.dt

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import vfplab.pde
+from vfplab import SchemeError
 from vfplab.cli import main
 from vfplab.output import fmt_float, write_csv, write_json
 
@@ -212,6 +214,21 @@ def test_simulate_divergence_exit_code(tmp_path):
     })
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", "--config", cfg]) == 2
+
+
+def test_grid_scheme_failure_exits_two(tmp_path, monkeypatch):
+    def failing_step(grid, params, cfg):
+        raise SchemeError(f"negative cell beyond clamp tolerance at t={grid.t:g}")
+
+    monkeypatch.setattr(vfplab.pde, "vfp_step", failing_step)
+    cfg = write_config(tmp_path / "f.json", {
+        "model": {"gamma": 1.0, "lambda": 0.0, "kernel": "zero"},
+        "grid": {"Lx": 6.0, "Lv": 6.0, "nx": 32, "nv": 32, "dt": 0.004},
+        "experiment": {"horizon": 0.1, "sample_dt": 0.1},
+        "output": str(tmp_path / "run"),
+    })
+    assert main(["fisher", "--config", cfg]) == 2
+    assert not (tmp_path / "run_fisher.csv").exists()
 
 
 @pytest.mark.parametrize("breakage", [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from vfplab import (ConfigurationError, CoupledPair, DivergenceError, ModelParams,
@@ -9,7 +11,7 @@ from vfplab import (ConfigurationError, CoupledPair, DivergenceError, ModelParam
                     coupled_step, coupling_constants, direct_pairwise_force,
                     euclidean_norm_sq, modified_norm_sq, noise_for_step,
                     pairwise_force, simulate, smallness_threshold, step)
-from vfplab.particles import force_jacobian_norm_bound_check
+from vfplab.particles import _contraction_replica, force_jacobian_norm_bound_check
 
 SINE = {"type": "sine", "amplitude": 1.0}
 
@@ -251,6 +253,67 @@ def test_contraction_experiment_flags_broken_smallness():
     report = contraction_experiment(params, SimConfig(dt=1e-3, seed=1), 8, horizon=0.5)
     assert not report.smallness
     assert any("smallness" in w for w in report.warnings)
+
+
+# ------------------------------------------- batched vs per-pair stepping ---
+
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+_INNER_KERNELS = st.one_of(
+    st.builds(lambda c: {"type": "sine", "amplitude": c}, st.floats(-2.0, 2.0, **_FLOATS)),
+    st.builds(lambda a, b: {"type": "quadratic_linear", "a": a, "b": b},
+              st.floats(-1.0, 1.0, **_FLOATS), st.floats(-1.0, 1.0, **_FLOATS)),
+    st.builds(lambda h, w: {"type": "gaussian_bump", "height": h, "width": w},
+              st.floats(-2.0, 2.0, **_FLOATS), st.floats(0.2, 3.0, **_FLOATS)),
+)
+KERNELS = st.one_of(st.just("zero"), _INNER_KERNELS,
+                    st.builds(lambda k: {"type": "symmetrized", "inner": k}, _INNER_KERNELS))
+MODELS = st.builds(lambda g, lam, k: ModelParams(gamma=g, lam=lam, kernel=builtin_kernel(k)),
+                   st.floats(0.25, 4.0, **_FLOATS), st.floats(0.0, 1.0, **_FLOATS), KERNELS)
+
+
+def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt):
+    """Each replica's pair stepped alone by coupled_step, sampled like the experiment."""
+    constants = coupling_constants(params.gamma)
+    n_steps = max(1, round(horizon / cfg.dt))
+    every = max(1, round(sample_dt / cfg.dt))
+    mods, eucs = [], []
+    for r in range(replicas):
+        (x, x_tilde), (v, v_tilde) = _contraction_replica(cfg, n, r)
+        pair = CoupledPair(z=ParticleState(x=x, v=v), z_tilde=ParticleState(x=x_tilde, v=v_tilde))
+        times = [pair.z.t]
+        mods.append([modified_norm_sq(pair, constants)])
+        eucs.append([euclidean_norm_sq(pair)])
+        for k in range(n_steps):
+            pair = coupled_step(pair, params, cfg, noise_for_step(cfg.seed, k, n, stream=r))
+            if (k + 1) % every == 0 or k + 1 == n_steps:
+                times.append(pair.z.t)
+                mods[-1].append(modified_norm_sq(pair, constants))
+                eucs[-1].append(euclidean_norm_sq(pair))
+    return np.array(times), np.array(mods), np.array(eucs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=MODELS, integrator=st.sampled_from(["euler_maruyama", "kinetic_splitting"]),
+       n=st.integers(2, 64), replicas=st.integers(1, 4), n_steps=st.integers(8, 40),
+       every=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
+def test_batched_contraction_matches_per_pair_stepping(params, integrator, n, replicas,
+                                                       n_steps, every, seed):
+    cfg = SimConfig(dt=0.01, integrator=integrator, seed=seed)
+    horizon, sample_dt = n_steps * cfg.dt, every * cfg.dt
+    report = contraction_experiment(params, cfg, n, horizon=horizon, replicas=replicas,
+                                    sample_dt=sample_dt)
+    times, mods, eucs = per_pair_reference(params, cfg, n, horizon, replicas, sample_dt)
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.modified_norm_sq, mods)
+    assert np.array_equal(report.euclid_sq, eucs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=MODELS, n=st.integers(2, 64), rows=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
+def test_batched_force_matches_row_by_row_force(params, n, rows, seed):
+    x = 3.0 * np.random.default_rng(seed).standard_normal((rows, 2, n))
+    expected = np.array([[pairwise_force(params, pair_row) for pair_row in row] for row in x])
+    assert np.array_equal(pairwise_force(params, x), expected)
 
 
 def test_state_and_config_validation():

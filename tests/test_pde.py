@@ -130,8 +130,49 @@ def test_cfl_bound_formula_without_force():
     params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
     dx = dv = 16.0 / 64.0
     max_speed = np.abs(grid.x_centers).max()  # drift is -x when the force vanishes
-    expected = min(dx / 8.0, dv / max_speed, dv * dv / 2.0)
+    # the Fokker-Planck substep's largest cell outflow, B(w_j) + B(-w_{j-1})
+    w = 0.5 * (grid.v_centers[:-1] + grid.v_centers[1:]) * dv
+    outflow = np.zeros(64)
+    outflow[:-1] += _bernoulli(w)
+    outflow[1:] += _bernoulli(-w)
+    fokker_planck = dv * dv / outflow.max()
+    assert fokker_planck < dv * dv / 2.0
+    expected = min(dx / 8.0, dv / max_speed, fokker_planck)
     assert cfl_bound(grid, params) == pytest.approx(expected)
+
+
+def test_fokker_planck_substep_keeps_a_wall_spike_nonnegative():
+    # a unit mass one cell from v = Lv: at dt = dv^2/2 the explicit substep
+    # drove that cell to -0.074; the CFL bound's diffusion term prevents it
+    cfg = default_grid_config(nx=8, nv=128, dt=1.0)
+    grid = gaussian_grid(cfg, [0.0, 0.0], np.eye(2))
+    params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
+    w = 0.5 * (grid.v_centers[:-1] + grid.v_centers[1:]) * grid.dv
+    bp, bm = _bernoulli(w), _bernoulli(-w)
+
+    def after_one_substep(dt):
+        data = np.zeros((1, 128))
+        data[0, -2] = 1.0
+        _fokker_planck_v(data, bp, bm, grid.dv, params.gamma, dt)
+        return data
+
+    assert after_one_substep(grid.dv * grid.dv / 2.0).min() < -0.07
+    kept = after_one_substep(cfl_bound(grid, params))
+    assert kept.min() >= 0.0
+    assert abs(kept.sum() - 1.0) < 1e-14
+
+
+def test_full_safety_step_near_the_velocity_wall_stays_positive():
+    # nx=16, nv=64 with the mass concentrated near v = 7 used to raise
+    # SchemeError at cfl_safety=1 and dt equal to the CFL bound
+    probe = default_grid_config(nx=16, nv=64, dt=1.0, cfl_safety=1.0)
+    grid = gaussian_grid(probe, [0.0, 7.0], [[1.0, 0.0], [0.0, 0.01]])
+    cfg = default_grid_config(nx=16, nv=64, dt=cfl_bound(grid, SINE_BOUNDARY),
+                              cfl_safety=1.0)
+    for _ in range(10):
+        grid = vfp_step(grid, SINE_BOUNDARY, cfg)
+        assert grid.data.min() >= 0.0
+        assert abs(grid.mass() - 1.0) < 1e-12
 
 
 def test_geometry_mismatch_is_rejected():
