@@ -22,7 +22,7 @@ from .errors import ConfigurationError, DivergenceError, VfpError
 from .functionals import (classical_free_energy, entropy, fisher_information,
                           quadratic_free_energy, w2_grid)
 from .gaussian import GaussianState, bures_w2, free_energy_particle_limit, \
-    free_energy_quadratic, gibbs_measure_N, moment_flow, stationary_gaussian
+    free_energy_quadratic, moment_flow, stationary_gaussian
 from .model import ModelParams, builtin_kernel, coupling_constants, smallness_holds
 from .output import write_csv, write_json
 from .particles import ParticleState, SimConfig, contraction_experiment, simulate
@@ -320,7 +320,10 @@ def cmd_oracle(args) -> int:
     exp = _experiment(cfg, {"initial", "times", "n_values"})
     initial = parse_initial(exp.get("initial"))
     times = np.asarray(exp.get("times", [0.0, 0.5, 1.0, 2.0, 5.0]), dtype=float)
-    n_values = [int(n) for n in exp.get("n_values", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])]
+    n_values = exp.get("n_values", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    if not (isinstance(n_values, list) and n_values and all(  # bools fail n >= 2
+            isinstance(n, (int, float)) and n >= 2 and n % 1 == 0 for n in n_values)):
+        raise ConfigurationError(f"n_values must be a non-empty list of integers >= 2, got {n_values!r}")
 
     states = moment_flow(initial, params, times)
     target = stationary_gaussian(params)
@@ -328,9 +331,10 @@ def cmd_oracle(args) -> int:
              "bures_to_stationary": bures_w2(s, target)}
             for t, s in zip(times, states)]
     limit = free_energy_quadratic(initial, params)
+    # For every N the equilibrium's position mean is -lam*b, the stationary one.
     table = [{"n": n, "free_energy": free_energy_particle_limit(initial, params, n),
-              "gibbs_mean_x": float(gibbs_measure_N(params, n).mean[0])}
-             for n in n_values]
+              "gibbs_mean_x": float(target.mean[0])}
+             for n in map(int, n_values)]
     payload = {
         "stationary_gaussian": {"mean": target.mean.tolist(), "cov": target.cov.tolist()},
         "moment_flow": flow,

@@ -163,9 +163,11 @@ def w2_empirical(cloud_a: Array, cloud_b: Array) -> float:
     n = a.shape[0]
     if n == 0 or n > MAX_ASSIGNMENT:
         raise ValueError(f"cloud size must lie in [1, {MAX_ASSIGNMENT}], got {n}")
-    cost = cdist(a, b, "sqeuclidean")
+    # Centring adds |mean_a - mean_b|^2 to every assignment's cost alike, and speeds the solver.
+    mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
+    cost = cdist(a - mean_a, b - mean_b, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(max(float(cost[rows, cols].mean()), 0.0))
+    return math.sqrt(max(float(cost[rows, cols].mean() + np.sum((mean_a - mean_b) ** 2)), 0.0))
 
 
 def sample_from_grid(grid: PhaseGrid, n: int, seed: int) -> Array:

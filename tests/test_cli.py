@@ -202,6 +202,32 @@ def test_oracle_subcommand(tmp_path):
     assert [row["n"] for row in payload["free_energy_particle_limit"]] == [2, 16]
 
 
+@pytest.mark.parametrize("n_values", [[2.5], [], ["x"], 5, [True, 4], [1]])
+def test_oracle_rejects_malformed_n_values(tmp_path, n_values):
+    cfg = write_config(tmp_path / "o.json", {
+        "model": {"gamma": 1.0, "lambda": 0.5,
+                  "kernel": {"type": "quadratic_linear", "a": 1.0, "b": 1.0}},
+        "experiment": {"times": [0.0], "n_values": n_values},
+        "output": str(tmp_path / "run"),
+    })
+    assert main(["oracle", "--config", cfg]) == 1
+    assert not (tmp_path / "run_oracle.json").exists()
+
+
+def test_oracle_table_at_a_million_particles(tmp_path):
+    # closed form: no (2N x 2N) matrix, which at N = 1e6 would take 32 TB
+    cfg = write_config(tmp_path / "o.json", {
+        "model": {"gamma": 1.0, "lambda": 0.5,
+                  "kernel": {"type": "quadratic_linear", "a": 1.0, "b": 1.0}},
+        "experiment": {"times": [0.0], "n_values": [2.0, 1000000]},
+        "output": str(tmp_path / "run"),
+    })
+    assert main(["oracle", "--config", cfg]) == 0
+    table = json.loads((tmp_path / "run_oracle.json").read_text())["free_energy_particle_limit"]
+    assert [row["n"] for row in table] == [2, 1000000]
+    assert all(np.isfinite(row["free_energy"]) and row["gibbs_mean_x"] == -0.5 for row in table)
+
+
 def test_simulate_divergence_exit_code(tmp_path):
     cfg = write_config(tmp_path / "d.json", {
         "model": {"gamma": 1.0, "lambda": 1.0,

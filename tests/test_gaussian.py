@@ -1,7 +1,11 @@
 """Closed-form Gaussian references: moment flow, Bures metric, free energies."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from vfplab import (ConfigurationError, GaussianState, ModelParams, UnconfinedError,
@@ -194,8 +198,16 @@ def test_gibbs_marginal_variance_approaches_mean_field():
 
 def test_gibbs_rejects_unconfined_swarm():
     params = make_params(lam=0.5, a=-1.0, b=0.0)
+    g = GaussianState(mean=[0.0, 0.0], cov=np.eye(2))
     with pytest.raises(UnconfinedError):
         gibbs_measure_N(params, 2)
+    with pytest.raises(UnconfinedError):
+        free_energy_particle_limit(g, params, 2)
+    # the particle count is checked before the confinement
+    with pytest.raises(ConfigurationError):
+        gibbs_measure_N(params, 1)
+    with pytest.raises(ConfigurationError):
+        free_energy_particle_limit(g, params, 1)
 
 
 def test_particle_free_energy_identity_without_curvature():
@@ -220,3 +232,37 @@ def test_particle_free_energy_differences_are_size_stable():
         diff = free_energy_particle_limit(g1, params, n) \
             - free_energy_particle_limit(g2, params, n)
         assert abs(diff - limit) < 1e-10
+
+
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.0, 2.0, **_FLOATS), a=st.floats(-1.0, 1.0, **_FLOATS),
+       b=st.floats(-2.0, 2.0, **_FLOATS), mean=st.tuples(*[st.floats(-3.0, 3.0, **_FLOATS)] * 2),
+       s_xx=st.floats(0.1, 5.0, **_FLOATS), s_vv=st.floats(0.1, 5.0, **_FLOATS),
+       rho=st.floats(-0.95, 0.95, **_FLOATS), n=st.integers(2, 48))
+def test_particle_free_energy_matches_the_dense_gaussian_kl(lam, a, b, mean, s_xx, s_vv, rho, n):
+    # confined for every N >= 2: the bulk eigenvalue 1 + 2 lam a N/(N-1) is smallest at N = 2
+    assume(1.0 + 4.0 * lam * a >= 0.2)
+    params = make_params(lam=lam, a=a, b=b)
+    s_xv = rho * math.sqrt(s_xx * s_vv)
+    g = GaussianState(mean=mean, cov=[[s_xx, s_xv], [s_xv, s_vv]])
+    gibbs = gibbs_measure_N(params, n)
+    # g^{tensor N} in the (x_1..x_N, v_1..v_N) ordering of the equilibrium
+    dense = gaussian_kl(np.repeat(g.mean, n), np.kron(g.cov, np.eye(n)),
+                        gibbs.mean, np.linalg.inv(gibbs.precision)) / n
+    assert math.isclose(free_energy_particle_limit(g, params, n), dense,
+                        rel_tol=1e-10, abs_tol=1e-12)
+
+
+def test_particle_free_energy_needs_no_dense_memory_at_huge_n():
+    # a dense (2N x 2N) precision at N = 1e7 would take 3.2 PB
+    params = make_params(gamma=1.0, lam=0.5, a=1.0, b=1.0)
+    g = GaussianState(mean=[-0.3, 0.4], cov=[[1.5, 0.2], [0.2, 0.8]])
+    value = free_energy_particle_limit(g, params, 10 ** 7)
+    # (1/N) KL to the N-particle equilibrium tends to F(g) - F(stationary state)
+    limit = free_energy_quadratic(g, params) \
+        - free_energy_quadratic(stationary_gaussian(params), params)
+    assert math.isfinite(value)
+    assert abs(value - limit) < 1e-6
