@@ -24,7 +24,7 @@ from .gaussian import (GaussianState, GibbsN, bures_w2, free_energy_particle_lim
                        free_energy_quadratic, gaussian_kl, gibbs_measure_N,
                        moment_flow, stationary_gaussian)
 from .model import (CouplingConstants, InteractionKernel, ModelParams,
-                    builtin_kernel, coupling_constants, mean_field_force,
+                    builtin_kernel, coupling_constants, kernel_sum, mean_field_force,
                     norm_equivalence_ratio, smallness_holds, smallness_threshold)
 from .particles import (ContractionReport, CoupledPair, ParticleState, SimConfig,
                         contraction_experiment, coupled_step, direct_pairwise_force,
@@ -47,7 +47,7 @@ __all__ = [
     "free_energy_quadratic", "gaussian_kl", "gibbs_measure_N", "moment_flow",
     "stationary_gaussian",
     "CouplingConstants", "InteractionKernel", "ModelParams", "builtin_kernel",
-    "coupling_constants", "mean_field_force", "norm_equivalence_ratio",
+    "coupling_constants", "kernel_sum", "mean_field_force", "norm_equivalence_ratio",
     "smallness_holds", "smallness_threshold",
     "ContractionReport", "CoupledPair", "ParticleState", "SimConfig",
     "contraction_experiment", "coupled_step", "direct_pairwise_force",

@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, VfpError
-from .functionals import (classical_free_energy, entropy, fisher_information,
+from .functionals import (MAX_ASSIGNMENT, classical_free_energy, entropy, fisher_information,
                           quadratic_free_energy, w2_grid)
 from .gaussian import GaussianState, bures_w2, free_energy_particle_limit, \
     free_energy_quadratic, moment_flow, stationary_gaussian
-from .model import ModelParams, builtin_kernel, coupling_constants, smallness_holds
+from .model import ModelParams, builtin_kernel, coupling_constants, finite_float, smallness_holds
 from .output import write_csv, write_json
 from .particles import ParticleState, SimConfig, contraction_experiment, simulate
 from .pde import GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_to_binary, \
@@ -48,6 +48,14 @@ def _require_keys(section: dict, name: str, required: set[str], optional: set[st
         raise ConfigurationError(f"config section {name!r} has unknown keys {sorted(unknown)}")
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """A config count as an int; integral floats such as 2.0 pass, bools and 2.5 do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            value >= minimum and value % 1 == 0):
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -66,21 +74,19 @@ def parse_model(cfg: dict) -> ModelParams:
     if section is None:
         raise ConfigurationError("config needs a 'model' section")
     _require_keys(section, "model", {"gamma", "lambda", "kernel"})
-    return ModelParams(gamma=float(section["gamma"]), lam=float(section["lambda"]),
+    return ModelParams(gamma=finite_float(section["gamma"], "gamma"),
+                       lam=finite_float(section["lambda"], "lambda"),
                        kernel=builtin_kernel(section["kernel"]))
 
 
 def parse_sim(cfg: dict, seed_override: Optional[int]) -> tuple[SimConfig, int]:
     section = dict(cfg.get("sim", {}))
     _require_keys(section, "sim", set(), {"dt", "integrator", "seed", "n_particles"})
-    seed = seed_override if seed_override is not None else int(section.get("seed", 0))
-    sim = SimConfig(dt=float(section.get("dt", 1e-3)),
+    seed = _count(section.get("seed", 0), "seed", 0) if seed_override is None else seed_override
+    sim = SimConfig(dt=finite_float(section.get("dt", 1e-3), "dt"),
                     integrator=section.get("integrator", "kinetic_splitting"),
                     seed=seed)
-    n = int(section.get("n_particles", 64))
-    if n < 2:
-        raise ConfigurationError(f"n_particles must be >= 2, got {n}")
-    return sim, n
+    return sim, _count(section.get("n_particles", 64), "n_particles", 2)
 
 
 def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
@@ -89,15 +95,17 @@ def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
     _require_keys(section, "grid", set(),
                   {"Lx", "Lv", "nx", "nv", "dt", "cfl_safety", "splitting"})
     geometry = {
-        "Lx": float(section.get("Lx", 8.0)), "Lv": float(section.get("Lv", 8.0)),
-        "nx": int(section.get("nx", 128)), "nv": int(section.get("nv", 128)),
-        "cfl_safety": float(section.get("cfl_safety", 0.5)),
+        "Lx": finite_float(section.get("Lx", 8.0), "Lx"),
+        "Lv": finite_float(section.get("Lv", 8.0), "Lv"),
+        "nx": _count(section.get("nx", 128), "nx", 1),
+        "nv": _count(section.get("nv", 128), "nv", 1),
+        "cfl_safety": finite_float(section.get("cfl_safety", 0.5), "cfl_safety"),
         "splitting": section.get("splitting", "strang"),
     }
     dt = section.get("dt", "auto")
     if dt == "auto":
         return geometry, None
-    return geometry, float(dt)
+    return geometry, finite_float(dt, "dt")
 
 
 def _grid_config(geometry: dict, dt: Optional[float], params: ModelParams,
@@ -125,6 +133,15 @@ def _experiment(cfg: dict, allowed: set[str]) -> dict:
     return section
 
 
+def _run_parameters(params: ModelParams, grid: Optional[GridConfig] = None, **run) -> dict:
+    """The run parameters every JSON report carries: the model, the grid geometry, then ``run``."""
+    out = {"kernel": params.kernel.name, "gamma": params.gamma, "lambda": params.lam}
+    if grid is not None:
+        out["grid"] = {"Lx": grid.Lx, "Lv": grid.Lv, "nx": grid.nx, "nv": grid.nv,
+                       "splitting": grid.splitting}
+    return {**out, **run}
+
+
 def _out_prefix(cfg: dict, args) -> str:
     prefix = args.out if args.out else cfg.get("output")
     if not prefix or not isinstance(prefix, str):
@@ -139,10 +156,12 @@ def cmd_contraction(args) -> int:
     params = parse_model(cfg)
     sim, n = parse_sim(cfg, args.seed)
     exp = _experiment(cfg, {"horizon", "replicas", "sample_dt"})
-    report = contraction_experiment(
-        params, sim, n, horizon=float(exp.get("horizon", 20.0)),
-        replicas=int(exp.get("replicas", 4)), sample_dt=exp.get("sample_dt"))
+    sample_dt = exp.get("sample_dt")
     prefix = _out_prefix(cfg, args)
+    report = contraction_experiment(
+        params, sim, n, horizon=finite_float(exp.get("horizon", 20.0), "horizon"),
+        replicas=_count(exp.get("replicas", 4), "replicas", 1),
+        sample_dt=None if sample_dt is None else finite_float(sample_dt, "sample_dt"))
     write_json(prefix + "_contraction.json", report.to_dict())
     rows = []
     for r in range(report.replicas):
@@ -198,14 +217,17 @@ def cmd_lyapunov(args) -> int:
     geometry, dt = parse_grid(cfg)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "w2_samples",
                             "witness_search"})
+    horizon = finite_float(exp.get("horizon", 5.0), "horizon")
+    sample_dt = finite_float(exp.get("sample_dt", 0.25), "sample_dt")
+    w2_samples = _count(exp.get("w2_samples", 2048), "w2_samples", 1)
+    if w2_samples > MAX_ASSIGNMENT:
+        raise ConfigurationError(f"w2_samples must be at most {MAX_ASSIGNMENT}, got {w2_samples}")
+    prefix = _out_prefix(cfg, args)
     initial_g = parse_initial(exp.get("initial"))
     probe = GridConfig(dt=1.0, **geometry)
     grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
     gcfg = _grid_config(geometry, dt, params, grid0)
 
-    horizon = float(exp.get("horizon", 5.0))
-    sample_dt = float(exp.get("sample_dt", 0.25))
-    w2_samples = int(exp.get("w2_samples", 2048))
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
     snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
@@ -223,13 +245,12 @@ def cmd_lyapunov(args) -> int:
                      fisher_information(snap, params, constants.A),
                      w2_grid(snap, target, n=w2_samples, seed=sim.seed),
                      snap.mass()))
-    prefix = _out_prefix(cfg, args)
     write_csv(prefix + "_lyapunov.csv",
               ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
                "w2_to_stationary", "mass"], rows)
 
-    report = {"kernel": params.kernel.name, "gamma": params.gamma, "lambda": params.lam,
-              "smallness": smallness_holds(params), "witness": None}
+    report = _run_parameters(params, gcfg, dt=gcfg.dt, horizon=horizon, seed=sim.seed,
+                             smallness=smallness_holds(params), witness=None)
     if quadratic:
         increments = np.diff(f_values)
         report["max_F_increase"] = float(increments.max()) if increments.size else 0.0
@@ -246,6 +267,9 @@ def cmd_fisher(args) -> int:
     parse_sim(cfg, args.seed)
     geometry, dt = parse_grid(cfg)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "stationary_start"})
+    horizon = finite_float(exp.get("horizon", 10.0), "horizon")
+    sample_dt = finite_float(exp.get("sample_dt", 0.25), "sample_dt")
+    prefix = _out_prefix(cfg, args)
     constants = coupling_constants(params.gamma)
     rate = constants.contraction_rate
 
@@ -259,8 +283,6 @@ def cmd_fisher(args) -> int:
         grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
         gcfg = _grid_config(geometry, dt, params, grid0)
 
-    horizon = float(exp.get("horizon", 10.0))
-    sample_dt = float(exp.get("sample_dt", 0.25))
     snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
 
     i_a0 = fisher_information(snaps[0], params, constants.A)
@@ -275,12 +297,11 @@ def cmd_fisher(args) -> int:
         if i_a > env_a * FISHER_SLACK or i_i > env_i * FISHER_SLACK:
             violated = True
         rows.append((float(snap.t), i_a, i_i, env_a, env_i))
-    prefix = _out_prefix(cfg, args)
     write_csv(prefix + "_fisher.csv",
               ["t", "fisher_A", "fisher_I", "envelope_A", "envelope_I"], rows)
-    write_json(prefix + "_fisher.json", {
-        "rate": rate, "smallness": smallness_holds(params),
-        "envelope_ok": not violated, "slack": FISHER_SLACK})
+    write_json(prefix + "_fisher.json", _run_parameters(
+        params, gcfg, dt=gcfg.dt, horizon=horizon, rate=rate, smallness=smallness_holds(params),
+        envelope_ok=not violated, slack=FISHER_SLACK))
     if violated and smallness_holds(params):
         print("warning: fisher envelope violated inside the guaranteed regime",
               file=sys.stderr)
@@ -297,20 +318,19 @@ def cmd_stationary(args) -> int:
     geometry, dt = parse_grid(cfg)
     gcfg = GridConfig(dt=dt if dt is not None else 1e-3, **geometry)
     exp = _experiment(cfg, {"omega", "tol", "max_iter"})
-    grid = stationary_fixed_point(params, gcfg, omega=float(exp.get("omega", 0.5)),
-                                  tol=float(exp.get("tol", 1e-10)),
-                                  max_iter=int(exp.get("max_iter", 10000)))
+    omega = finite_float(exp.get("omega", 0.5), "omega")
+    tol = finite_float(exp.get("tol", 1e-10), "tol")
+    max_iter = _count(exp.get("max_iter", 10000), "max_iter", 1)
     prefix = _out_prefix(cfg, args)
+    grid = stationary_fixed_point(params, gcfg, omega=omega, tol=tol, max_iter=max_iter)
     grid_to_csv(grid, prefix + "_stationary.csv")
     grid_to_binary(grid, prefix + "_stationary")
     constants = coupling_constants(params.gamma)
     xc, w = x_marginal(grid)
-    write_json(prefix + "_stationary_summary.json", {
-        "mass": grid.mass(),
-        "mean_x": float(xc @ w),
-        "fisher_A": fisher_information(grid, params, constants.A),
-        "smallness": smallness_holds(params),
-    })
+    write_json(prefix + "_stationary_summary.json", _run_parameters(
+        params, gcfg, mass=grid.mass(), mean_x=float(xc @ w),
+        fisher_A=fisher_information(grid, params, constants.A),
+        smallness=smallness_holds(params)))
     return 0
 
 
@@ -319,11 +339,15 @@ def cmd_oracle(args) -> int:
     params = parse_model(cfg)
     exp = _experiment(cfg, {"initial", "times", "n_values"})
     initial = parse_initial(exp.get("initial"))
-    times = np.asarray(exp.get("times", [0.0, 0.5, 1.0, 2.0, 5.0]), dtype=float)
+    times = exp.get("times", [0.0, 0.5, 1.0, 2.0, 5.0])
     n_values = exp.get("n_values", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
-    if not (isinstance(n_values, list) and n_values and all(  # bools fail n >= 2
-            isinstance(n, (int, float)) and n >= 2 and n % 1 == 0 for n in n_values)):
+    if not isinstance(times, list):
+        raise ConfigurationError(f"times must be a list of numbers, got {times!r}")
+    if not (isinstance(n_values, list) and n_values):
         raise ConfigurationError(f"n_values must be a non-empty list of integers >= 2, got {n_values!r}")
+    times = np.array([finite_float(t, "times") for t in times])
+    n_values = [_count(n, "n_values", 2) for n in n_values]
+    prefix = _out_prefix(cfg, args)
 
     states = moment_flow(initial, params, times)
     target = stationary_gaussian(params)
@@ -334,15 +358,10 @@ def cmd_oracle(args) -> int:
     # For every N the equilibrium's position mean is -lam*b, the stationary one.
     table = [{"n": n, "free_energy": free_energy_particle_limit(initial, params, n),
               "gibbs_mean_x": float(target.mean[0])}
-             for n in map(int, n_values)]
-    payload = {
-        "stationary_gaussian": {"mean": target.mean.tolist(), "cov": target.cov.tolist()},
-        "moment_flow": flow,
-        "free_energy_quadratic": limit,
-        "free_energy_particle_limit": table,
-    }
-    prefix = _out_prefix(cfg, args)
-    write_json(prefix + "_oracle.json", payload)
+             for n in n_values]
+    write_json(prefix + "_oracle.json", _run_parameters(
+        params, stationary_gaussian={"mean": target.mean.tolist(), "cov": target.cov.tolist()},
+        moment_flow=flow, free_energy_quadratic=limit, free_energy_particle_limit=table))
     return 0
 
 
@@ -351,8 +370,9 @@ def cmd_simulate(args) -> int:
     params = parse_model(cfg)
     sim, n = parse_sim(cfg, args.seed)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial"})
-    horizon = float(exp.get("horizon", 1.0))
-    sample_dt = float(exp.get("sample_dt", 0.1))
+    horizon = finite_float(exp.get("horizon", 1.0), "horizon")
+    sample_dt = finite_float(exp.get("sample_dt", 0.1), "sample_dt")
+    prefix = _out_prefix(cfg, args)
     initial = parse_initial(exp.get("initial"), default_mean=(0.0, 0.0))
     rng = np.random.default_rng([sim.seed, 424242])
     chol = np.linalg.cholesky(initial.cov)
@@ -364,7 +384,6 @@ def cmd_simulate(args) -> int:
     snaps = simulate(state, params, sim, n_steps, record_every=record_every)
     rows = ((float(s.t), i, float(s.x[i]), float(s.v[i]))
             for s in snaps for i in range(s.n))
-    prefix = _out_prefix(cfg, args)
     write_csv(prefix + "_trajectory.csv", ["t", "i", "x", "v"], rows)
     return 0
 

@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError
-from .model import ModelParams
+from .model import ModelParams, kernel_sum
 from .pde import PhaseGrid, x_marginal
 
 Array = np.ndarray
@@ -45,42 +45,33 @@ def entropy(grid: PhaseGrid) -> float:
     return float(np.sum(f[m] * np.log(f[m])) * grid.cell_area())
 
 
-def _interaction_energy(grid: PhaseGrid, params: ModelParams) -> float:
-    """(lam/2) * double integral of K(x - y) against the position marginal.
-
-    The 1/2 makes the total functional non-increasing along the flow for even
-    kernels; the double integral only sees the even part of K either way.
-    """
-    xc, w = x_marginal(grid)
-    kmat = np.asarray(params.kernel.evaluate(xc[:, None] - xc[None, :]))
-    return 0.5 * params.lam * float(w @ kmat @ w)
-
-
 def classical_free_energy(grid: PhaseGrid, params: ModelParams) -> float:
-    """Entropy + quadratic confinement energy + interaction energy."""
-    xc, vc = grid.x_centers, grid.v_centers
-    quad = 0.5 * (xc[:, None] ** 2 + vc[None, :] ** 2)
-    conf = float(np.sum(quad * grid.data) * grid.cell_area())
-    return entropy(grid) + conf + _interaction_energy(grid, params)
+    """Entropy + quadratic confinement energy + interaction energy.
 
-
-def quadratic_free_energy(grid: PhaseGrid, params: ModelParams) -> float:
-    """Mean-field free energy of a grid state for the quadratic kernel.
-
-    entropy + int((v^2+x^2)/2 + lam*b*x) f + lam*a*var_x, the grid analogue of
-    the Gaussian closed form; decays along the flow for any a, b.
+    The interaction energy is (lam/2) * the double integral of K(x - y) against the position
+    marginal: the 1/2 makes the total non-increasing along the flow for even kernels, and
+    the double integral only sees the even part of K either way.
     """
-    if params.kernel.kind != "quadratic_linear":
-        raise ConfigurationError(
-            f"quadratic free energy needs the quadratic_linear kernel, got {params.kernel.name}")
-    a, b = params.kernel.coeffs
     xc, vc = grid.x_centers, grid.v_centers
     quad = 0.5 * (xc[:, None] ** 2 + vc[None, :] ** 2)
     conf = float(np.sum(quad * grid.data) * grid.cell_area())
     _, w = x_marginal(grid)
-    m_x = float(xc @ w)
-    var_x = float((xc - m_x) ** 2 @ w)
-    return entropy(grid) + conf + params.lam * (b * m_x + a * var_x)
+    interaction = 0.5 * params.lam * float(w @ kernel_sum(params.kernel, xc, xc, w))
+    return entropy(grid) + conf + interaction
+
+
+def quadratic_free_energy(grid: PhaseGrid, params: ModelParams) -> float:
+    """Mean-field free energy of a grid state for the quadratic kernel a z^2 + b z.
+
+    The classical free energy (whose interaction part is lam*a*var_x) plus lam*b*mean_x:
+    the grid analogue of the Gaussian closed form; decays along the flow for any a, b.
+    """
+    if params.kernel.kind != "quadratic_linear":
+        raise ConfigurationError(
+            f"quadratic free energy needs the quadratic_linear kernel, got {params.kernel.name}")
+    xc, w = x_marginal(grid)
+    b = params.kernel.coeffs[1]
+    return classical_free_energy(grid, params) + params.lam * b * float(xc @ w)
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,7 @@ def local_equilibrium(grid: PhaseGrid, params: ModelParams) -> LocalEquilibrium:
     """Local equilibrium attached to the current density; factorizes in (x, v)."""
     xc, vc = grid.x_centers, grid.v_centers
     _, w = x_marginal(grid)
-    conv = np.asarray(params.kernel.evaluate(xc[:, None] - xc[None, :])) @ w
+    conv = kernel_sum(params.kernel, xc, xc, w)
     log_unnorm = (-0.5 * xc * xc - params.lam * conv)[:, None] - 0.5 * (vc * vc)[None, :]
     z = float(np.exp(log_unnorm).sum() * grid.cell_area())
     return LocalEquilibrium(data=np.exp(log_unnorm) / z,

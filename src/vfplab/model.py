@@ -30,6 +30,7 @@ __all__ = [
     "smallness_threshold",
     "coupling_constants",
     "norm_equivalence_ratio",
+    "kernel_sum",
     "mean_field_force",
 ]
 
@@ -42,9 +43,8 @@ class InteractionKernel:
     builtin kernels and trusted for custom ones, because the small-interaction
     predicate has to be a certificate, not an estimate.
 
-    ``pair_sum``, when present, evaluates sum_j d1(x_i - x_j) over all j (including
-    j = i) along the last axis of an (..., N) array exactly in O(N); it exists only for
-    kernels with an algebraic reduction and must agree with direct summation to rounding.
+    ``kind`` and ``coeffs`` must describe ``evaluate`` exactly, because :func:`kernel_sum`
+    trusts them: it sums quadratic_linear and sine kernels by moments, never calling ``evaluate``.
     """
 
     name: str
@@ -55,7 +55,6 @@ class InteractionKernel:
     is_even: bool
     kind: str = "custom"
     coeffs: tuple = ()
-    pair_sum: Optional[Callable[[Array], Array]] = None
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,13 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def finite_float(value, name: str) -> float:
+    """A config number as a float; ConfigurationError unless it is a finite int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def builtin_kernel(spec: Union[str, dict, InteractionKernel]) -> InteractionKernel:
     """Build one of the builtin kernels from a descriptor.
 
@@ -124,51 +130,37 @@ def builtin_kernel(spec: Union[str, dict, InteractionKernel]) -> InteractionKern
         return InteractionKernel(
             name="zero", evaluate=zero, d1=zero, d2=zero, d2_sup=0.0,
             is_even=True, kind="quadratic_linear", coeffs=(0.0, 0.0),
-            pair_sum=lambda x: np.zeros_like(_as_float_array(x)),
         )
 
     if kind == "quadratic_linear":
         if extra != {"a", "b"}:
             raise ConfigurationError(f"quadratic_linear kernel needs exactly 'a' and 'b', got {sorted(extra)}")
-        a, b = float(spec["a"]), float(spec["b"])
-
-        def pair_sum(x: Array) -> Array:
-            x = _as_float_array(x)
-            return 2.0 * a * (x.shape[-1] * x - x.sum(axis=-1, keepdims=True)) + x.shape[-1] * b
-
+        a, b = finite_float(spec["a"], "a"), finite_float(spec["b"], "b")
         return InteractionKernel(
             name=f"quadratic_linear(a={a:g}, b={b:g})",
             evaluate=lambda x: a * _as_float_array(x) ** 2 + b * _as_float_array(x),
             d1=lambda x: 2.0 * a * _as_float_array(x) + b,
             d2=lambda x: _as_float_array(x) * 0.0 + 2.0 * a,
             d2_sup=2.0 * abs(a), is_even=(b == 0.0),
-            kind="quadratic_linear", coeffs=(a, b), pair_sum=pair_sum,
+            kind="quadratic_linear", coeffs=(a, b),
         )
 
     if kind == "sine":
         if extra != {"amplitude"}:
             raise ConfigurationError(f"sine kernel needs exactly 'amplitude', got {sorted(extra)}")
-        c = float(spec["amplitude"])
-
-        def pair_sum(x: Array) -> Array:
-            # sum_j cos(x_i - x_j) = cos(x_i) * sum_j cos(x_j) + sin(x_i) * sum_j sin(x_j)
-            x = _as_float_array(x)
-            cx, sx = np.cos(x), np.sin(x)
-            return c * (cx * cx.sum(axis=-1, keepdims=True) + sx * sx.sum(axis=-1, keepdims=True))
-
+        c = finite_float(spec["amplitude"], "amplitude")
         return InteractionKernel(
             name=f"sine(amplitude={c:g})",
             evaluate=lambda x: c * np.sin(_as_float_array(x)),
             d1=lambda x: c * np.cos(_as_float_array(x)),
             d2=lambda x: -c * np.sin(_as_float_array(x)),
             d2_sup=abs(c), is_even=False, kind="sine", coeffs=(c,),
-            pair_sum=pair_sum,
         )
 
     if kind == "gaussian_bump":
         if extra != {"height", "width"}:
             raise ConfigurationError(f"gaussian_bump kernel needs exactly 'height' and 'width', got {sorted(extra)}")
-        h, w = float(spec["height"]), float(spec["width"])
+        h, w = finite_float(spec["height"], "height"), finite_float(spec["width"], "width")
         if not w > 0.0:
             raise ConfigurationError(f"gaussian_bump width must be positive, got {w}")
         w2 = w * w
@@ -255,6 +247,49 @@ def norm_equivalence_ratio(constants: CouplingConstants) -> float:
     return upper / lower
 
 
+def _direct_sum(fn: KernelFn, x: Array, points: Array, weights=None, chunk: int = 1024) -> Array:
+    """sum_j w_j fn(x_i - y_j) term by term, in blocks of at most chunk * len(points) pairs."""
+    ys = np.broadcast_to(points, x.shape[:-1] + points.shape[-1:])
+    out = np.empty(x.shape)
+    for row in np.ndindex(x.shape[:-1]):
+        for lo in range(0, x.shape[-1], chunk):
+            terms = np.asarray(fn(x[row][lo:lo + chunk, None] - ys[row]))
+            out[row][lo:lo + chunk] = terms.sum(axis=1) if weights is None else terms @ weights
+    return out
+
+
+def _moment(values: Array, weights: Optional[Array]) -> Array:
+    """sum_j w_j values_j over the last axis, kept as an axis of length one."""
+    return values.sum(axis=-1, keepdims=True) if weights is None else (values @ weights)[..., None]
+
+
+def kernel_sum(kernel: InteractionKernel, x: Array, points: Array,
+               weights: Optional[Array] = None, derivative: bool = False) -> Array:
+    """sum_j w_j K(x_i - y_j) over the last axis (K' if ``derivative``), shaped like ``x``.
+
+    ``points`` (..., m) broadcasts against ``x`` (..., n); ``weights`` (m,) default to ones.
+    quadratic_linear (zero included) and sine kernels sum exactly through O(n + m)
+    moments of the points; every other kernel sums term by term.
+    """
+    x = _as_float_array(x)
+    y = x if points is x else _as_float_array(points)
+    if kernel.kind == "quadratic_linear":
+        a, b = kernel.coeffs
+        total = y.shape[-1] if weights is None else weights.sum()
+        if derivative:
+            return 2.0 * a * (total * x - _moment(y, weights)) + total * b
+        m = _moment(y, weights) / total   # centred, so the x^2 and y^2 parts cannot cancel
+        return a * (total * (x - m) ** 2 + _moment((y - m) ** 2, weights)) + b * total * (x - m)
+    if kernel.kind == "sine":
+        (c,) = kernel.coeffs
+        cx, sx = np.cos(x), np.sin(x)
+        cy, sy = (cx, sx) if y is x else (np.cos(y), np.sin(y))
+        if derivative:   # cos(x - y) = cos x cos y + sin x sin y
+            return c * (cx * _moment(cy, weights) + sx * _moment(sy, weights))
+        return c * (sx * _moment(cy, weights) - cx * _moment(sy, weights))   # sin(x - y)
+    return _direct_sum(kernel.d1 if derivative else kernel.evaluate, x, y, weights)
+
+
 def mean_field_force(params: ModelParams, x: Union[float, Array],
                      marginal: tuple[Array, Array]) -> Union[float, Array]:
     """Mean-field force -lam * sum_j w_j dK/dx(x - y_j) against weighted samples.
@@ -270,9 +305,5 @@ def mean_field_force(params: ModelParams, x: Union[float, Array],
     total = weights.sum()
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"marginal weights must sum to 1 within 1e-10, got {total!r}")
-    x_arr = _as_float_array(x)
-    d1 = params.kernel.d1(x_arr[..., None] - points)
-    out = -params.lam * (d1 @ weights)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    out = kernel_sum(params.kernel, np.atleast_1d(x), points, weights, derivative=True)
+    return -params.lam * (float(out[0]) if np.ndim(x) == 0 else out)

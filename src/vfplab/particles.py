@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .model import CouplingConstants, ModelParams, coupling_constants, smallness_holds
+from .model import (CouplingConstants, ModelParams, _direct_sum, coupling_constants, kernel_sum,
+                    smallness_holds)
 
 Array = np.ndarray
 
@@ -109,32 +110,23 @@ def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array
     return gen.standard_normal(n)
 
 
-def direct_pairwise_force(params: ModelParams, x: Array, chunk: int = 1024) -> Array:
-    """F_i = (1/(N-1)) sum_{j != i} dK/dx(x_i - x_j) directly, per row of the last axis."""
+def _without_self(params: ModelParams, x: Array, sum_all: Callable[[Array], Array]) -> Array:
+    """(1/(N-1)) (sum_all(x) - dK/dx(0)), where sum_all sums over every j of the last axis."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] if x.ndim else 0
     if n < 2:
         raise ValueError("pairwise force needs at least 2 particles")
-    d1 = params.kernel.d1
-    diag = float(np.asarray(d1(0.0)))
+    return (sum_all(x) - float(np.asarray(params.kernel.d1(0.0)))) / (n - 1)
 
-    def row_sums(row):
-        return np.concatenate([np.asarray(d1(row[lo:lo + chunk, None] - row)).sum(axis=1)
-                               for lo in range(0, n, chunk)])
 
-    return (np.apply_along_axis(row_sums, -1, x) - diag) / (n - 1)
+def direct_pairwise_force(params: ModelParams, x: Array, chunk: int = 1024) -> Array:
+    """F_i = (1/(N-1)) sum_{j != i} dK/dx(x_i - x_j) by direct summation, per row of the last axis."""
+    return _without_self(params, x, lambda x: _direct_sum(params.kernel.d1, x, x, chunk=chunk))
 
 
 def pairwise_force(params: ModelParams, x: Array) -> Array:
-    """Pairwise mean force on (..., N) positions; exact O(N) reduction when the kernel has one."""
-    ps = params.kernel.pair_sum
-    if ps is None:
-        return direct_pairwise_force(params, x)
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1] if x.ndim else 0
-    if n < 2:
-        raise ValueError("pairwise force needs at least 2 particles")
-    return (ps(x) - float(np.asarray(params.kernel.d1(0.0)))) / (n - 1)
+    """Pairwise mean force on (..., N) positions, through the kernel's own sum."""
+    return _without_self(params, x, lambda x: kernel_sum(params.kernel, x, x, derivative=True))
 
 
 def force_jacobian_norm_bound_check(params: ModelParams, x: Array, u: Array,

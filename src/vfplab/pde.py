@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError, SchemeError
-from .model import ModelParams, mean_field_force, smallness_holds
+from .model import ModelParams, kernel_sum, mean_field_force, smallness_holds
 from .output import write_csv, write_json
 
 Array = np.ndarray
@@ -279,14 +279,13 @@ def stationary_fixed_point(params: ModelParams, cfg: GridConfig, omega: float = 
         raise ConfigurationError("omega must lie in (0, 1]")
     dx = 2.0 * cfg.Lx / cfg.nx
     x = -cfg.Lx + (np.arange(cfg.nx) + 0.5) * dx
-    kmat = np.asarray(params.kernel.evaluate(x[:, None] - x[None, :]))
     base = -0.5 * x * x
 
     rho = np.exp(base)
     rho /= rho.sum() * dx
     residual = math.inf
     for _ in range(int(max_iter)):
-        conv = kmat @ rho * dx
+        conv = kernel_sum(params.kernel, x, x, rho) * dx
         target = np.exp(base - params.lam * conv)
         target /= target.sum() * dx
         new = (1.0 - omega) * rho + omega * target
@@ -298,13 +297,7 @@ def stationary_fixed_point(params: ModelParams, cfg: GridConfig, omega: float = 
         raise NonConvergenceError(
             f"fixed point not reached after {max_iter} iterations (residual {residual:g})",
             residual=residual, iterations=int(max_iter))
-
-    dv = 2.0 * cfg.Lv / cfg.nv
-    v = -cfg.Lv + (np.arange(cfg.nv) + 0.5) * dv
-    maxwell = np.exp(-0.5 * v * v)
-    data = rho[:, None] * maxwell[None, :]
-    data /= data.sum() * dx * dv
-    return PhaseGrid(Lx=cfg.Lx, Lv=cfg.Lv, nx=cfg.nx, nv=cfg.nv, data=data, t=0.0)
+    return grid_from_density(cfg, lambda _, v: rho[:, None] * np.exp(-0.5 * v * v))
 
 
 def grid_to_csv(grid: PhaseGrid, path: str) -> None:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import vfplab.pde
-from vfplab import SchemeError
+from vfplab import (GridConfig, ModelParams, SchemeError, builtin_kernel, cfl_bound,
+                    gaussian_grid)
 from vfplab.cli import main
 from vfplab.output import fmt_float, write_csv, write_json
 
@@ -45,6 +46,14 @@ def test_csv_and_json_writers(tmp_path):
 
 # ------------------------------------------------------------- subcommands --
 
+def assert_run_parameters(report, **run):
+    """The model and grid keys every grid report carries, plus ``run``'s values."""
+    assert {"kernel", "gamma", "lambda"} <= set(report)
+    assert set(report["grid"]) == {"Lx", "Lv", "nx", "nv", "splitting"}
+    for key, value in run.items():
+        assert report[key] == value, key
+
+
 def contraction_config(tmp_path, seed=11):
     return write_config(tmp_path / "c.json", {
         "model": {"gamma": 1.0, "lambda": 0.125,
@@ -53,6 +62,22 @@ def contraction_config(tmp_path, seed=11):
         "experiment": {"horizon": 0.5, "replicas": 2, "sample_dt": 0.1},
         "output": str(tmp_path / "run"),
     })
+
+
+def small_config(command, tmp_path):
+    """A quick valid config for ``command`` writing under ``tmp_path / "run"``."""
+    if command == "contraction":
+        return json.loads(open(contraction_config(tmp_path)).read())
+    quadratic = {"gamma": 1.0, "lambda": 0.0625,
+                 "kernel": {"type": "quadratic_linear", "a": 1.0, "b": 1.0}}
+    if command == "oracle":
+        return {"model": quadratic, "experiment": {"times": [0.0], "n_values": [2]},
+                "output": str(tmp_path / "run")}
+    return {"model": quadratic,
+            "grid": {"Lx": 6.0, "Lv": 6.0, "nx": 16, "nv": 16, "dt": 0.004},
+            "experiment": {"horizon": 0.1, "sample_dt": 0.1, "w2_samples": 64,
+                           "witness_search": False},
+            "output": str(tmp_path / "run")}
 
 
 def test_contraction_subcommand(tmp_path):
@@ -119,6 +144,18 @@ def test_lyapunov_subcommand(tmp_path):
     assert report["smallness"] is True
     assert "F_monotone" in report and "max_F_increase" in report
     assert report["witness"] is None
+    assert_run_parameters(report, dt=0.004, horizon=0.2, seed=0)
+
+
+def test_lyapunov_report_records_the_auto_dt(tmp_path):
+    config = small_config("lyapunov", tmp_path)
+    config["grid"]["dt"] = "auto"
+    assert main(["lyapunov", "--config", write_config(tmp_path / "a.json", config)]) == 0
+    report = json.loads((tmp_path / "run_lyapunov.json").read_text())
+    probe = GridConfig(Lx=6.0, Lv=6.0, nx=16, nv=16, dt=1.0)
+    params = ModelParams(gamma=1.0, lam=0.0625, kernel=builtin_kernel(config["model"]["kernel"]))
+    auto = 0.9 * 0.5 * cfl_bound(gaussian_grid(probe, [1.0, 0.0], np.eye(2)), params)
+    assert_run_parameters(report, dt=auto, horizon=0.1, seed=0)
 
 
 def test_lyapunov_witness_search(tmp_path):
@@ -151,6 +188,7 @@ def test_fisher_subcommand(tmp_path):
     report = json.loads((tmp_path / "run_fisher.json").read_text())
     assert report["envelope_ok"] is True
     assert report["rate"] == 0.125
+    assert_run_parameters(report, dt=0.004, horizon=0.3)
 
 
 def test_fisher_envelope_violation_exit_code(tmp_path):
@@ -179,6 +217,7 @@ def test_stationary_subcommand(tmp_path):
     summary = json.loads((tmp_path / "run_stationary_summary.json").read_text())
     assert abs(summary["mass"] - 1.0) < 1e-10
     assert summary["fisher_A"] < 1e-10
+    assert_run_parameters(summary)
     header = json.loads((tmp_path / "run_stationary.json").read_text())
     data = np.fromfile(tmp_path / "run_stationary.bin").reshape(header["nx"], header["nv"])
     assert data.min() >= 0.0
@@ -200,6 +239,8 @@ def test_oracle_subcommand(tmp_path):
     assert flow[0]["mean"] == [1.0, 0.0]
     assert flow[0]["bures_to_stationary"] > 0.0
     assert [row["n"] for row in payload["free_energy_particle_limit"]] == [2, 16]
+    assert (payload["gamma"], payload["lambda"]) == (1.0, 0.5)
+    assert payload["kernel"] == "quadratic_linear(a=1, b=1)"
 
 
 @pytest.mark.parametrize("n_values", [[2.5], [], ["x"], 5, [True, 4], [1]])
@@ -277,6 +318,32 @@ def test_configuration_errors_exit_one(tmp_path, breakage):
     assert main(["lyapunov", "--config", cfg]) == 1
     # validation fails before any artifact is written
     assert not (tmp_path / "run_lyapunov.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("lyapunov", "model", "gamma", "x"),
+    ("lyapunov", "grid", "nx", "abc"),
+    ("lyapunov", "grid", "dt", "fast"),
+    ("contraction", "sim", "dt", "fast"),
+    ("lyapunov", "experiment", "horizon", "long"),
+    ("contraction", "kernel", "amplitude", "big"),
+    ("oracle", "experiment", "times", ["x"]),
+    ("contraction", "sim", "n_particles", 2.5),
+    ("contraction", "experiment", "replicas", 1.7),
+    ("lyapunov", "grid", "nx", 16.7),
+    ("lyapunov", "experiment", "w2_samples", 0.5),
+    ("lyapunov", "experiment", "w2_samples", 5000),
+])
+def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, key, value):
+    config = small_config(command, tmp_path)
+    target = config["model"]["kernel"] if section == "kernel" else config[section]
+    target[key] = value
+    cfg = write_config(tmp_path / "bad.json", config)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    # rejected before anything is computed or written
+    assert not list(tmp_path.glob("run*"))
 
 
 def test_malformed_json_exits_one(tmp_path):

@@ -1,13 +1,19 @@
 """Kernels, coupling geometry, smallness predicate, and the mean-field force."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vfplab import (ConfigurationError, ModelParams, builtin_kernel,
-                    coupling_constants, mean_field_force, norm_equivalence_ratio,
-                    smallness_holds, smallness_threshold)
+from vfplab import (ConfigurationError, GridConfig, ModelParams, builtin_kernel,
+                    classical_free_energy, coupling_constants, fisher_information,
+                    gaussian_grid, kernel_sum, local_equilibrium, mean_field_force,
+                    norm_equivalence_ratio, pairwise_force, quadratic_free_energy,
+                    smallness_holds, smallness_threshold, stationary_fixed_point, vfp_step,
+                    x_marginal)
 
 GAMMA_GRID = np.logspace(np.log10(1.0 / 16.0), np.log10(16.0), 33)
 
@@ -53,7 +59,7 @@ def test_zero_kernel_is_the_trivial_quadratic():
     assert kernel.is_even
     assert kernel.kind == "quadratic_linear"
     assert kernel.coeffs == (0.0, 0.0)
-    assert np.all(kernel.pair_sum(x) == 0.0)
+    assert np.all(kernel_sum(kernel, x, x, derivative=True) == 0.0)
 
 
 def test_symmetrized_kernel_is_even():
@@ -183,3 +189,84 @@ def test_mean_field_force_rejects_bad_marginals():
         mean_field_force(params, 0.0, (np.zeros(3), np.full(3, 0.5)))
     with pytest.raises(ValueError):
         mean_field_force(params, 0.0, (np.zeros(3), np.full(2, 0.5)))
+
+
+# ------------------------------------------------------------- kernel sums --
+
+coefficient = st.floats(-2.0, 2.0)
+kernel_specs = st.one_of(
+    st.just("zero"),
+    st.builds(lambda a, b: {"type": "quadratic_linear", "a": a, "b": b}, coefficient, coefficient),
+    st.builds(lambda c: {"type": "sine", "amplitude": c}, coefficient),
+    st.builds(lambda h, w: {"type": "gaussian_bump", "height": h, "width": w},
+              coefficient, st.floats(0.3, 3.0)),
+    st.builds(lambda c: {"type": "symmetrized", "inner": {"type": "sine", "amplitude": c}},
+              coefficient),
+)
+
+
+def term_scale(spec, x, y, derivative):
+    """Per-pair size that bounds the rounding of either summation order: the
+    moment forms cancel terms as large as |a|(|x| + |y|)^2 or |amplitude|."""
+    r = np.abs(x[..., :, None]) + np.abs(y[..., None, :])
+    kind = spec if isinstance(spec, str) else spec["type"]
+    if kind == "quadratic_linear":
+        a, b = abs(spec["a"]), abs(spec["b"])
+        return 2.0 * a * r + b if derivative else a * r * r + b * r
+    if kind == "sine":
+        return np.full(r.shape, abs(spec["amplitude"]))
+    kernel = builtin_kernel(spec)
+    fn = kernel.d1 if derivative else kernel.evaluate
+    return np.abs(fn(x[..., :, None] - y[..., None, :]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=kernel_specs, derivative=st.booleans(), weighted=st.booleans(),
+       batched=st.booleans(), self_sum=st.booleans(),
+       sizes=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_sum_matches_dense_summation(spec, derivative, weighted, batched, self_sum,
+                                            sizes, seed):
+    rng = np.random.default_rng(seed)
+    replicas, n, m = sizes
+    lead = (replicas, 2) if batched else ()
+    x = rng.uniform(-3.0, 3.0, lead + (n,))
+    y = x if self_sum else rng.uniform(-3.0, 3.0, lead + (m,))
+    w = rng.uniform(0.1, 2.0, y.shape[-1]) if weighted else None
+    unit_or_w = np.ones(y.shape[-1]) if w is None else w
+    kernel = builtin_kernel(spec)
+    fn = kernel.d1 if derivative else kernel.evaluate
+    dense = fn(x[..., :, None] - y[..., None, :]) @ unit_or_w
+    got = kernel_sum(kernel, x, y, w, derivative=derivative)
+    assert got.shape == x.shape
+    # the 1e-300 floor admits subnormal results, which carry no relative precision
+    bound = 1e-12 * (np.abs(dense) + term_scale(spec, x, y, derivative) @ unit_or_w) + 1e-300
+    assert np.all(np.abs(got - dense) <= bound)
+
+
+def flat_only(fn):
+    """``fn`` that refuses pair matrices: any input of two or more dimensions."""
+    def guarded(z):
+        if np.ndim(z) >= 2:
+            raise AssertionError(f"kernel evaluated on a {np.shape(z)} pair block")
+        return fn(z)
+    return guarded
+
+
+@pytest.mark.parametrize("spec", [{"type": "quadratic_linear", "a": 1.0, "b": 0.5},
+                                  {"type": "sine", "amplitude": 1.0}], ids=lambda s: s["type"])
+def test_reduction_kernels_never_build_a_pair_matrix(spec):
+    kernel = builtin_kernel(spec)
+    kernel = dataclasses.replace(kernel, evaluate=flat_only(kernel.evaluate), d1=flat_only(kernel.d1))
+    params = ModelParams(gamma=1.0, lam=0.05, kernel=kernel)
+    cfg = GridConfig(Lx=6.0, Lv=6.0, nx=16, nv=16, dt=1e-3)
+    grid = gaussian_grid(cfg, [0.5, 0.0], np.eye(2))
+    mean_field_force(params, grid.x_centers, x_marginal(grid))
+    vfp_step(grid, params, cfg)
+    local_equilibrium(grid, params)
+    fisher_information(grid, params, np.eye(2))
+    classical_free_energy(grid, params)
+    if spec["type"] == "quadratic_linear":
+        quadratic_free_energy(grid, params)
+    stationary_fixed_point(params, cfg)
+    pairwise_force(params, np.random.default_rng(0).normal(size=(3, 2, 8)))

@@ -81,17 +81,31 @@ def test_quadratic_force_closed_form():
     params = ModelParams(gamma=1.0, lam=1.0,
                          kernel=builtin_kernel({"type": "quadratic_linear", "a": a, "b": b}))
     rng = np.random.default_rng(3)
-    x = rng.normal(size=12)
-    n = x.size
-    expected = 2.0 * a * (n * x - x.sum()) / (n - 1) + b
-    assert np.abs(pairwise_force(params, x) - expected).max() < 1e-12
+    x = rng.normal(size=(3, 2, 12))
+    n = x.shape[-1]
+    # the exact arithmetic of the former closed-form pair sum, minus K'(0) = b
+    expected = (2.0 * a * (n * x - x.sum(axis=-1, keepdims=True)) + n * b - b) / (n - 1)
+    assert np.array_equal(pairwise_force(params, x), expected)
+
+
+def test_sine_force_closed_form():
+    c = 0.8
+    params = ModelParams(gamma=1.0, lam=1.0,
+                         kernel=builtin_kernel({"type": "sine", "amplitude": c}))
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 2, 12))
+    n = x.shape[-1]
+    cx, sx = np.cos(x), np.sin(x)
+    # the exact arithmetic of the former closed-form pair sum, minus K'(0) = c
+    expected = (c * (cx * cx.sum(axis=-1, keepdims=True) + sx * sx.sum(axis=-1, keepdims=True))
+                - c) / (n - 1)
+    assert np.array_equal(pairwise_force(params, x), expected)
 
 
 def test_gaussian_bump_falls_back_to_direct_sum():
     params = ModelParams(gamma=1.0, lam=1.0,
                          kernel=builtin_kernel({"type": "gaussian_bump",
                                                 "height": 1.0, "width": 0.7}))
-    assert params.kernel.pair_sum is None
     x = np.linspace(-1.0, 1.0, 9)
     assert np.array_equal(pairwise_force(params, x), direct_pairwise_force(params, x))
 
