@@ -56,6 +56,21 @@ def _count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _positive(value, name: str) -> float:
+    """A config number that must be finite and positive."""
+    value = finite_float(value, name)
+    if not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    """A config switch: only the JSON literals true and false pass."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -159,9 +174,9 @@ def cmd_contraction(args) -> int:
     sample_dt = exp.get("sample_dt")
     prefix = _out_prefix(cfg, args)
     report = contraction_experiment(
-        params, sim, n, horizon=finite_float(exp.get("horizon", 20.0), "horizon"),
+        params, sim, n, horizon=_positive(exp.get("horizon", 20.0), "horizon"),
         replicas=_count(exp.get("replicas", 4), "replicas", 1),
-        sample_dt=None if sample_dt is None else finite_float(sample_dt, "sample_dt"))
+        sample_dt=None if sample_dt is None else _positive(sample_dt, "sample_dt"))
     write_json(prefix + "_contraction.json", report.to_dict())
     rows = []
     for r in range(report.replicas):
@@ -217,8 +232,9 @@ def cmd_lyapunov(args) -> int:
     geometry, dt = parse_grid(cfg)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "w2_samples",
                             "witness_search"})
-    horizon = finite_float(exp.get("horizon", 5.0), "horizon")
-    sample_dt = finite_float(exp.get("sample_dt", 0.25), "sample_dt")
+    horizon = _positive(exp.get("horizon", 5.0), "horizon")
+    sample_dt = _positive(exp.get("sample_dt", 0.25), "sample_dt")
+    witness_search = _flag(exp.get("witness_search", not params.kernel.is_even), "witness_search")
     w2_samples = _count(exp.get("w2_samples", 2048), "w2_samples", 1)
     if w2_samples > MAX_ASSIGNMENT:
         raise ConfigurationError(f"w2_samples must be at most {MAX_ASSIGNMENT}, got {w2_samples}")
@@ -255,7 +271,7 @@ def cmd_lyapunov(args) -> int:
         increments = np.diff(f_values)
         report["max_F_increase"] = float(increments.max()) if increments.size else 0.0
         report["F_monotone"] = bool(increments.size == 0 or increments.max() <= 1e-6)
-    if exp.get("witness_search", not params.kernel.is_even):
+    if witness_search:
         report["witness"] = _lyapunov_witness(params, gcfg, target)
     write_json(prefix + "_lyapunov.json", report)
     return 0
@@ -267,14 +283,14 @@ def cmd_fisher(args) -> int:
     parse_sim(cfg, args.seed)
     geometry, dt = parse_grid(cfg)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "stationary_start"})
-    horizon = finite_float(exp.get("horizon", 10.0), "horizon")
-    sample_dt = finite_float(exp.get("sample_dt", 0.25), "sample_dt")
+    horizon = _positive(exp.get("horizon", 10.0), "horizon")
+    sample_dt = _positive(exp.get("sample_dt", 0.25), "sample_dt")
     prefix = _out_prefix(cfg, args)
     constants = coupling_constants(params.gamma)
     rate = constants.contraction_rate
 
     probe = GridConfig(dt=1.0, **geometry)
-    if exp.get("stationary_start", False):
+    if _flag(exp.get("stationary_start", False), "stationary_start"):
         gcfg = _grid_config(geometry, dt, params,
                             gaussian_grid(probe, [0.0, 0.0], np.eye(2)))
         grid0 = stationary_fixed_point(params, gcfg)
@@ -285,13 +301,12 @@ def cmd_fisher(args) -> int:
 
     snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
 
-    i_a0 = fisher_information(snaps[0], params, constants.A)
-    i_i0 = fisher_information(snaps[0], params, np.eye(2))
+    fisher = [(fisher_information(snap, params, constants.A),
+               fisher_information(snap, params, np.eye(2))) for snap in snaps]
+    i_a0, i_i0 = fisher[0]
     rows = []
     violated = False
-    for snap in snaps:
-        i_a = fisher_information(snap, params, constants.A)
-        i_i = fisher_information(snap, params, np.eye(2))
+    for snap, (i_a, i_i) in zip(snaps, fisher):
         env_a = i_a0 * math.exp(-rate * snap.t)
         env_i = 4.0 * i_i0 * math.exp(-rate * snap.t)
         if i_a > env_a * FISHER_SLACK or i_i > env_i * FISHER_SLACK:
@@ -319,7 +334,7 @@ def cmd_stationary(args) -> int:
     gcfg = GridConfig(dt=dt if dt is not None else 1e-3, **geometry)
     exp = _experiment(cfg, {"omega", "tol", "max_iter"})
     omega = finite_float(exp.get("omega", 0.5), "omega")
-    tol = finite_float(exp.get("tol", 1e-10), "tol")
+    tol = _positive(exp.get("tol", 1e-10), "tol")
     max_iter = _count(exp.get("max_iter", 10000), "max_iter", 1)
     prefix = _out_prefix(cfg, args)
     grid = stationary_fixed_point(params, gcfg, omega=omega, tol=tol, max_iter=max_iter)
@@ -370,8 +385,8 @@ def cmd_simulate(args) -> int:
     params = parse_model(cfg)
     sim, n = parse_sim(cfg, args.seed)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial"})
-    horizon = finite_float(exp.get("horizon", 1.0), "horizon")
-    sample_dt = finite_float(exp.get("sample_dt", 0.1), "sample_dt")
+    horizon = _positive(exp.get("horizon", 1.0), "horizon")
+    sample_dt = _positive(exp.get("sample_dt", 0.1), "sample_dt")
     prefix = _out_prefix(cfg, args)
     initial = parse_initial(exp.get("initial"), default_mean=(0.0, 0.0))
     rng = np.random.default_rng([sim.seed, 424242])

@@ -206,9 +206,7 @@ def euclidean_norm_sq(pair: CoupledPair) -> float:
 
 
 def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
-             n_steps: int, record_every: int = 1, stream: int = 0,
-             observer: Optional[Callable[[ParticleState], None]] = None,
-             ) -> list[ParticleState]:
+             n_steps: int, record_every: int = 1) -> list[ParticleState]:
     """Run ``n_steps`` steps, returning snapshots every ``record_every`` steps.
 
     The step counter starts at 0 for this call; identical arguments reproduce
@@ -217,14 +215,10 @@ def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
     if n_steps < 0:
         raise ConfigurationError("n_steps must be nonnegative")
     snaps = [state]
-    if observer is not None:
-        observer(state)
     for k in range(n_steps):
-        state = step(state, params, cfg, noise_for_step(cfg.seed, k, state.n, stream))
+        state = step(state, params, cfg, noise_for_step(cfg.seed, k, state.n))
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             snaps.append(state)
-            if observer is not None:
-                observer(state)
     return snaps
 
 
@@ -285,10 +279,12 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
         raise ConfigurationError("replicas must be >= 1")
     if not horizon > 0:
         raise ConfigurationError("horizon must be positive")
+    if sample_dt is not None and not sample_dt > 0:
+        raise ConfigurationError("sample_dt must be positive")
     constants = coupling_constants(params.gamma)
     rate = constants.contraction_rate
     n_steps = max(1, round(horizon / cfg.dt))
-    sample_every = max(1, round((sample_dt if sample_dt else 0.1) / cfg.dt))
+    sample_every = max(1, round((0.1 if sample_dt is None else sample_dt) / cfg.dt))
     warnings: list[str] = []
     small = smallness_holds(params)
     if not small:

@@ -180,22 +180,13 @@ def cfl_bound(grid: PhaseGrid, params: ModelParams, force: Optional[Array] = Non
     return min(terms)
 
 
-def _transport_x(data: Array, v: Array, dx: float, dt: float) -> None:
-    vp = np.where(v > 0.0, v, 0.0)[None, :]
-    vm = np.where(v < 0.0, v, 0.0)[None, :]
-    flux = vp * data[:-1, :] + vm * data[1:, :]
-    c = dt / dx
-    data[:-1, :] -= c * flux
-    data[1:, :] += c * flux
-
-
-def _advect_v(data: Array, speed: Array, dv: float, dt: float) -> None:
-    cp = np.where(speed > 0.0, speed, 0.0)[:, None]
-    cm = np.where(speed < 0.0, speed, 0.0)[:, None]
-    flux = cp * data[:, :-1] + cm * data[:, 1:]
-    c = dt / dv
-    data[:, :-1] -= c * flux
-    data[:, 1:] += c * flux
+def _upwind(left: Array, right: Array, lo: Array, hi: Array, c: float) -> None:
+    """Conservative first-order upwind update across the interfaces between the views
+    ``left`` and ``right`` (its neighbour along one axis): the flux c (lo left + hi right),
+    with lo >= 0 the forward and hi <= 0 the backward speed, leaves left and enters right."""
+    flux = c * (lo * left + hi * right)
+    left -= flux
+    right += flux
 
 
 def _fokker_planck_v(data: Array, bp: Array, bm: Array, dv: float,
@@ -222,20 +213,21 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid
             f"dt={cfg.dt:g} violates the CFL budget {bound:g} at t={grid.t:g}")
 
     speed = force - xc
+    vp = np.where(vc > 0.0, vc, 0.0)[None, :]
+    vm = np.where(vc < 0.0, vc, 0.0)[None, :]
+    sp = np.where(speed > 0.0, speed, 0.0)[:, None]
+    sm = np.where(speed < 0.0, speed, 0.0)[:, None]
     bp, bm, _ = _fp_weights(grid.Lv, grid.nv)
 
     data = grid.data.copy()
     dt = cfg.dt
-    if cfg.splitting == "lie":
-        _transport_x(data, vc, grid.dx, dt)
-        _advect_v(data, speed, grid.dv, dt)
-        _fokker_planck_v(data, bp, bm, grid.dv, params.gamma, dt)
-    else:
-        _transport_x(data, vc, grid.dx, 0.5 * dt)
-        _advect_v(data, speed, grid.dv, 0.5 * dt)
-        _fokker_planck_v(data, bp, bm, grid.dv, params.gamma, dt)
-        _advect_v(data, speed, grid.dv, 0.5 * dt)
-        _transport_x(data, vc, grid.dx, 0.5 * dt)
+    h = dt if cfg.splitting == "lie" else 0.5 * dt   # Lie: Strang's first three substeps
+    _upwind(data[:-1], data[1:], vp, vm, h / grid.dx)
+    _upwind(data[:, :-1], data[:, 1:], sp, sm, h / grid.dv)
+    _fokker_planck_v(data, bp, bm, grid.dv, params.gamma, dt)
+    if cfg.splitting == "strang":
+        _upwind(data[:, :-1], data[:, 1:], sp, sm, h / grid.dv)
+        _upwind(data[:-1], data[1:], vp, vm, h / grid.dx)
 
     lowest = data.min()
     if lowest < -1e-13:
@@ -255,8 +247,10 @@ def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: floa
     """Step to the horizon, returning snapshots every ``sample_dt`` (default 10 dt)."""
     if not horizon > 0:
         raise ConfigurationError("horizon must be positive")
+    if sample_dt is not None and not sample_dt > 0:
+        raise ConfigurationError("sample_dt must be positive")
     n_steps = max(1, round(horizon / cfg.dt))
-    every = max(1, round((sample_dt if sample_dt else 10.0 * cfg.dt) / cfg.dt))
+    every = max(1, round((10.0 * cfg.dt if sample_dt is None else sample_dt) / cfg.dt))
     snaps = [grid]
     for k in range(n_steps):
         grid = vfp_step(grid, params, cfg)
@@ -277,6 +271,8 @@ def stationary_fixed_point(params: ModelParams, cfg: GridConfig, omega: float = 
                       stacklevel=2)
     if not (0 < omega <= 1):
         raise ConfigurationError("omega must lie in (0, 1]")
+    if not tol > 0:
+        raise ConfigurationError("tol must be positive")
     dx = 2.0 * cfg.Lx / cfg.nx
     x = -cfg.Lx + (np.arange(cfg.nx) + 0.5) * dx
     base = -0.5 * x * x

@@ -68,16 +68,33 @@ def small_config(command, tmp_path):
     """A quick valid config for ``command`` writing under ``tmp_path / "run"``."""
     if command == "contraction":
         return json.loads(open(contraction_config(tmp_path)).read())
+    out = str(tmp_path / "run")
+    if command == "simulate":
+        return {"model": {"gamma": 1.0, "lambda": 0.0, "kernel": "zero"},
+                "sim": {"dt": 0.005, "seed": 2, "n_particles": 4},
+                "experiment": {"horizon": 0.05, "sample_dt": 0.02}, "output": out}
     quadratic = {"gamma": 1.0, "lambda": 0.0625,
                  "kernel": {"type": "quadratic_linear", "a": 1.0, "b": 1.0}}
     if command == "oracle":
         return {"model": quadratic, "experiment": {"times": [0.0], "n_values": [2]},
-                "output": str(tmp_path / "run")}
+                "output": out}
+    experiment = {
+        "lyapunov": {"horizon": 0.1, "sample_dt": 0.1, "w2_samples": 64,
+                     "witness_search": False},
+        "fisher": {"horizon": 0.1, "sample_dt": 0.1, "stationary_start": False},
+        "stationary": {"tol": 1e-10},
+    }[command]
     return {"model": quadratic,
             "grid": {"Lx": 6.0, "Lv": 6.0, "nx": 16, "nv": 16, "dt": 0.004},
-            "experiment": {"horizon": 0.1, "sample_dt": 0.1, "w2_samples": 64,
-                           "witness_search": False},
-            "output": str(tmp_path / "run")}
+            "experiment": experiment, "output": out}
+
+
+@pytest.mark.parametrize("command", ["contraction", "lyapunov", "fisher", "stationary",
+                                     "oracle", "simulate"])
+def test_small_configs_run(tmp_path, command):
+    # the malformed-number cases below break exactly one value of these configs
+    config = small_config(command, tmp_path)
+    assert main([command, "--config", write_config(tmp_path / "ok.json", config)]) == 0
 
 
 def test_contraction_subcommand(tmp_path):
@@ -333,6 +350,21 @@ def test_configuration_errors_exit_one(tmp_path, breakage):
     ("lyapunov", "grid", "nx", 16.7),
     ("lyapunov", "experiment", "w2_samples", 0.5),
     ("lyapunov", "experiment", "w2_samples", 5000),
+    ("contraction", "experiment", "sample_dt", -1),
+    ("contraction", "experiment", "sample_dt", 0),
+    ("lyapunov", "experiment", "sample_dt", -1),
+    ("fisher", "experiment", "sample_dt", 0),
+    ("simulate", "experiment", "sample_dt", -1),
+    ("contraction", "experiment", "horizon", -1),
+    ("lyapunov", "experiment", "horizon", -1),
+    ("fisher", "experiment", "horizon", 0),
+    ("simulate", "experiment", "horizon", -0.5),
+    ("stationary", "experiment", "tol", -1),
+    ("stationary", "experiment", "tol", 0),
+    ("lyapunov", "experiment", "witness_search", "no"),
+    ("lyapunov", "experiment", "witness_search", 0),
+    ("fisher", "experiment", "stationary_start", "yes"),
+    ("fisher", "experiment", "stationary_start", 1),
 ])
 def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, key, value):
     config = small_config(command, tmp_path)
@@ -341,7 +373,7 @@ def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, k
     cfg = write_config(tmp_path / "bad.json", config)
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "configuration error" in err and "Traceback" not in err
+    assert "configuration error" in err and "Traceback" not in err and key in err
     # rejected before anything is computed or written
     assert not list(tmp_path.glob("run*"))
 

@@ -42,8 +42,63 @@ def test_moment_flow_matches_matrix_exponential_without_interaction():
         E = expm(B * t)
         mean = E @ g0.mean
         cov = E @ (g0.cov - sigma_inf) @ E.T + sigma_inf
-        assert np.abs(state.mean - mean).max() < 1e-9
-        assert np.abs(state.cov - cov).max() < 1e-9
+        assert np.abs(state.mean - mean).max() < 1e-12
+        assert np.abs(state.cov - cov).max() < 1e-12
+
+
+def expm_flow(g0, params, t):
+    """Reference (mean, cov) at time t, written with scipy's matrix exponential."""
+    a, b = params.kernel.coeffs
+    k = 1.0 + 2.0 * params.lam * a
+    m_star, s_star = np.array([-params.lam * b, 0.0]), np.diag([1.0 / k, 1.0])
+    e_mean = expm(np.array([[0.0, 1.0], [-1.0, -params.gamma]]) * t)
+    e_cov = expm(np.array([[0.0, 1.0], [-k, -params.gamma]]) * t)
+    return m_star + e_mean @ (g0.mean - m_star), s_star + e_cov @ (g0.cov - s_star) @ e_cov.T
+
+
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(damping=st.sampled_from(["any", "critical_mean", "near_critical_mean", "critical_cov"]),
+       gamma=st.floats(0.05, 10.0, **_FLOATS), lam=st.floats(0.0, 2.0, **_FLOATS),
+       a=st.floats(-1.0, 2.0, **_FLOATS), b=st.floats(-2.0, 2.0, **_FLOATS),
+       quarter=st.integers(1, 40), eps=st.floats(-1e-6, 1e-6, **_FLOATS),
+       mean=st.tuples(*[st.floats(-3.0, 3.0, **_FLOATS)] * 2),
+       s_xx=st.floats(0.05, 5.0, **_FLOATS), s_vv=st.floats(0.05, 5.0, **_FLOATS),
+       rho=st.floats(-0.95, 0.95, **_FLOATS),
+       times=st.lists(st.floats(0.0, 50.0, **_FLOATS), min_size=1, max_size=6))
+def test_moment_flow_matches_the_matrix_exponential(damping, gamma, lam, a, b, quarter, eps,
+                                                     mean, s_xx, s_vv, rho, times):
+    if damping == "critical_mean":            # gamma^2 = 4: B_1 has a double eigenvalue
+        gamma = 2.0
+    elif damping == "near_critical_mean":
+        gamma = 2.0 * (1.0 + eps)
+    elif damping == "critical_cov":           # gamma^2 = 4 (1 + 2 lam a), exactly in floats
+        gamma, lam, a = quarter / 4.0, 0.5, quarter * quarter / 64.0 - 1.0
+    assume(1.0 + 2.0 * lam * a >= 0.05)
+    params = make_params(gamma=gamma, lam=lam, a=a, b=b)
+    s_xv = rho * math.sqrt(s_xx * s_vv)
+    g0 = GaussianState(mean=mean, cov=[[s_xx, s_xv], [s_xv, s_vv]])
+    times = [0.0] + sorted(times)
+    flow = moment_flow(g0, params, times)
+    assert np.array_equal(flow[0].mean, g0.mean) and np.array_equal(flow[0].cov, g0.cov)
+    for t, state in zip(times, flow):
+        mean_ref, cov_ref = expm_flow(g0, params, t)
+        assert np.array_equal(state.cov, state.cov.T)
+        assert np.abs(state.mean - mean_ref).max() < 1e-11
+        assert np.abs(state.cov - cov_ref).max() < 1e-11
+
+
+@pytest.mark.parametrize("gamma", [0.3, 2.0, 5.0])
+def test_moment_flow_reaches_the_stationary_state_at_long_times(gamma):
+    params = make_params(gamma=gamma, lam=0.5, a=1.0, b=1.0)
+    g0 = GaussianState(mean=[2.0, -1.0], cov=[[3.0, 0.4], [0.4, 0.2]])
+    late = moment_flow(g0, params, [0.0, 1e4])[-1]
+    target = stationary_gaussian(params)
+    assert np.isfinite(late.cov).all() and np.isfinite(late.mean).all()
+    assert np.abs(late.mean - target.mean).max() < 1e-12
+    assert np.abs(late.cov - target.cov).max() < 1e-12
 
 
 def test_moment_flow_fixes_the_stationary_state():
@@ -61,6 +116,8 @@ def test_moment_flow_input_validation():
         moment_flow(g0, params, [0.0, 1.0, 0.5])
     with pytest.raises(ConfigurationError):
         moment_flow(g0, params, [-1.0, 0.0])
+    with pytest.raises(ConfigurationError):
+        moment_flow(g0, params, [0.0, np.inf])
     sine = ModelParams(gamma=1.0, lam=0.1,
                        kernel=builtin_kernel({"type": "sine", "amplitude": 1.0}))
     with pytest.raises(ConfigurationError):
@@ -232,9 +289,6 @@ def test_particle_free_energy_differences_are_size_stable():
         diff = free_energy_particle_limit(g1, params, n) \
             - free_energy_particle_limit(g2, params, n)
         assert abs(diff - limit) < 1e-10
-
-
-_FLOATS = dict(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=100, deadline=None)

@@ -170,17 +170,9 @@ def test_equilibrium_second_moments():
     cfg = SimConfig(dt=2e-3, seed=4)
     rng = np.random.default_rng(11)
     state = ParticleState(x=rng.standard_normal(4096), v=rng.standard_normal(4096))
-    acc = {"sx": 0.0, "sv": 0.0, "count": 0}
-
-    def observer(s):
-        if s.t >= 2.0:
-            acc["sx"] += float(s.x @ s.x) / s.n
-            acc["sv"] += float(s.v @ s.v) / s.n
-            acc["count"] += 1
-
-    simulate(state, params, cfg, 3000, record_every=10, observer=observer)
-    assert abs(acc["sx"] / acc["count"] - 1.0) < 0.05
-    assert abs(acc["sv"] / acc["count"] - 1.0) < 0.05
+    late = [s for s in simulate(state, params, cfg, 3000, record_every=10) if s.t >= 2.0]
+    assert abs(sum(float(s.x @ s.x) / s.n for s in late) / len(late) - 1.0) < 0.05
+    assert abs(sum(float(s.v @ s.v) / s.n for s in late) / len(late) - 1.0) < 0.05
 
 
 def test_simulate_is_bit_identical_and_cadenced():
@@ -345,3 +337,6 @@ def test_state_and_config_validation():
         contraction_experiment(sine_params(), SimConfig(), 8, horizon=-1.0)
     with pytest.raises(ConfigurationError):
         contraction_experiment(sine_params(), SimConfig(), 8, horizon=1.0, replicas=0)
+    for sample_dt in (0.0, -0.1):
+        with pytest.raises(ConfigurationError):
+            contraction_experiment(sine_params(), SimConfig(), 8, horizon=1.0, sample_dt=sample_dt)

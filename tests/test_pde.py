@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vfplab import (ConfigurationError, GaussianState, GridConfig, ModelParams,
                     NonConvergenceError, PhaseGrid, SchemeError, builtin_kernel,
@@ -110,6 +112,44 @@ def test_mass_conservation_and_positivity():
     assert abs(grid.mass() - 1.0) < 1e-10
 
 
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+_COEF = st.floats(-2.0, 2.0, **_FLOATS)
+_UNIT_INTERVAL = st.floats(0.0, 1.0, exclude_min=True, **_FLOATS)
+STEP_KERNELS = st.one_of(
+    st.just("zero"),
+    st.builds(lambda a, b: {"type": "quadratic_linear", "a": a, "b": b}, _COEF, _COEF),
+    st.builds(lambda c: {"type": "sine", "amplitude": c}, _COEF),
+    st.builds(lambda h, w: {"type": "gaussian_bump", "height": h, "width": w},
+              _COEF, st.floats(0.2, 3.0, **_FLOATS)),
+    st.builds(lambda c: {"type": "symmetrized", "inner": {"type": "sine", "amplitude": c}}, _COEF),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel=STEP_KERNELS, gamma=st.floats(0.05, 5.0, **_FLOATS),
+       lam=st.floats(0.0, 2.0, **_FLOATS), splitting=st.sampled_from(["lie", "strang"]),
+       cfl_safety=_UNIT_INTERVAL, dt_fraction=_UNIT_INTERVAL,
+       box=st.tuples(st.floats(1.0, 8.0, **_FLOATS), st.floats(1.0, 8.0, **_FLOATS)),
+       cells=st.tuples(st.integers(4, 24), st.integers(4, 24)),
+       mean=st.tuples(*[st.floats(-0.5, 0.5, **_FLOATS)] * 2),
+       spread=st.tuples(*[st.floats(0.05, 0.5, **_FLOATS)] * 2),
+       rho=st.floats(-0.9, 0.9, **_FLOATS))
+def test_one_step_keeps_positivity_and_mass(kernel, gamma, lam, splitting, cfl_safety,
+                                            dt_fraction, box, cells, mean, spread, rho):
+    # any dt within the CFL budget, on a Gaussian placed and sized relative to the box
+    (lx, lv), (nx, nv) = box, cells
+    params = ModelParams(gamma=gamma, lam=lam, kernel=builtin_kernel(kernel))
+    sd_x, sd_v = spread[0] * lx, spread[1] * lv
+    cov = [[sd_x * sd_x, rho * sd_x * sd_v], [rho * sd_x * sd_v, sd_v * sd_v]]
+    geometry = dict(Lx=lx, Lv=lv, nx=nx, nv=nv, cfl_safety=cfl_safety, splitting=splitting)
+    grid = gaussian_grid(GridConfig(dt=1.0, **geometry), [mean[0] * lx, mean[1] * lv], cov)
+    dt = dt_fraction * cfl_safety * cfl_bound(grid, params)
+    assume(dt > 0.0)
+    new = vfp_step(grid, params, GridConfig(dt=dt, **geometry))
+    assert new.data.min() >= 0.0
+    assert abs(new.mass() - grid.mass()) <= 1e-12
+
+
 def test_lie_splitting_also_conserves():
     cfg = default_grid_config(nx=64, nv=64, dt=2e-3, splitting="lie")
     grid = gaussian_grid(cfg, [0.5, 0.0], np.eye(2))
@@ -212,6 +252,9 @@ def test_run_vfp_snapshot_cadence():
     grid = gaussian_grid(cfg, [0.0, 0.0], np.eye(2))
     snaps = run_vfp(grid, quad_params(lam=0.0), cfg, 0.1, sample_dt=0.03)
     assert [round(s.t / cfg.dt) for s in snaps] == [0, 3, 6, 9, 10]
+    for sample_dt in (0.0, -0.03):
+        with pytest.raises(ConfigurationError):
+            run_vfp(grid, quad_params(lam=0.0), cfg, 0.1, sample_dt=sample_dt)
 
 
 # ----------------------------------------------------------------- moments --
@@ -273,6 +316,9 @@ def test_stationary_solver_reports_non_convergence():
         stationary_fixed_point(SINE_BOUNDARY, cfg, max_iter=1)
     assert info.value.residual > 0.0
     assert info.value.iterations == 1
+    for tol in (0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            stationary_fixed_point(SINE_BOUNDARY, cfg, tol=tol)
 
 
 def test_stationary_drift_is_grid_limited_and_first_order():
