@@ -40,9 +40,8 @@ __all__ = [
 
 def entropy(grid: PhaseGrid) -> float:
     """int f ln f over the grid (negative differential entropy)."""
-    f = grid.data
-    m = f >= MASK
-    return float(np.sum(f[m] * np.log(f[m])) * grid.cell_area())
+    f = grid.data[grid.data >= MASK]
+    return float(np.sum(f * np.log(f)) * grid.cell_area())
 
 
 def classical_free_energy(grid: PhaseGrid, params: ModelParams) -> float:

@@ -11,7 +11,7 @@ here, never estimated downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -55,6 +55,10 @@ class InteractionKernel:
     is_even: bool
     kind: str = "custom"
     coeffs: tuple = ()
+    d1_at_zero: float = field(init=False, repr=False, compare=False)   # K'(0), the self term
+
+    def __post_init__(self):
+        object.__setattr__(self, "d1_at_zero", float(np.asarray(self.d1(0.0))))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from vfplab import (ConfigurationError, CoupledPair, DivergenceError, ModelParams,
-                    ParticleState, SimConfig, builtin_kernel, contraction_experiment,
+from vfplab import (ConfigurationError, CoupledPair, DivergenceError, InteractionKernel,
+                    ModelParams, ParticleState, SimConfig, builtin_kernel, contraction_experiment,
                     coupled_step, coupling_constants, direct_pairwise_force,
                     euclidean_norm_sq, modified_norm_sq, noise_for_step,
                     pairwise_force, simulate, smallness_threshold, step)
-from vfplab.particles import _contraction_replica, force_jacobian_norm_bound_check
+from vfplab.particles import _contraction_replica, _philox, force_jacobian_norm_bound_check
 
 SINE = {"type": "sine", "amplitude": 1.0}
 
@@ -42,6 +42,49 @@ def test_noise_streams_and_steps_are_distinct():
     b = noise_for_step(7, 1, 4096)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.06
     assert not np.isin(np.round(b, 14), np.round(a, 14)).any()
+
+
+def fresh_noise(seed, step_index, n, stream=0):
+    """The definition of noise_for_step: a Philox generator built for this one draw."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    counter = np.array([0, step_index, 0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return gen.standard_normal(n)
+
+
+_U64 = st.integers(0, 2 ** 64 - 1)
+_CALLS = st.lists(st.tuples(st.one_of(st.sampled_from([0, 7, 2 ** 64 - 1]), _U64),
+                            st.one_of(st.integers(0, 3), _U64),
+                            st.one_of(st.integers(0, 5), _U64),
+                            st.sampled_from([0, 1, 2, 64]) | st.integers(0, 300)),
+                  min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=_CALLS)
+def test_cached_noise_matches_a_fresh_generator_in_any_call_order(calls):
+    # seeds and streams repeat from small pools, steps go back and forth and repeat
+    for seed, stream, k, n in calls:
+        assert np.array_equal(noise_for_step(seed, k, n, stream=stream),
+                              fresh_noise(seed, k, n, stream=stream))
+
+
+def test_mutating_a_noise_draw_leaves_the_next_draw_alone():
+    a = noise_for_step(3, 1, 8)
+    expected = a.copy()
+    a[:] = 0.0
+    assert np.array_equal(noise_for_step(3, 1, 8), expected)
+    assert np.array_equal(noise_for_step(3, 1, 8), fresh_noise(3, 1, 8))
+
+
+@pytest.mark.parametrize("bad", [-1, 2 ** 64])
+def test_out_of_range_noise_arguments_raise_and_leave_the_cache_working(bad):
+    noise_for_step(4, 0, 4)   # (4, 0) is now cached, so the bad step hits a live generator
+    for seed, k, stream in ((bad, 0, 0), (4, bad, 0), (4, 0, bad)):
+        with pytest.raises(OverflowError):
+            noise_for_step(seed, k, 4, stream=stream)
+    assert np.array_equal(noise_for_step(4, 2, 16), fresh_noise(4, 2, 16))
+    assert np.array_equal(noise_for_step(4, 0, 4), fresh_noise(4, 0, 4))
 
 
 def test_noise_moments_are_standard_normal():
@@ -108,6 +151,27 @@ def test_gaussian_bump_falls_back_to_direct_sum():
                                                 "height": 1.0, "width": 0.7}))
     x = np.linspace(-1.0, 1.0, 9)
     assert np.array_equal(pairwise_force(params, x), direct_pairwise_force(params, x))
+
+
+def test_self_term_belongs_to_each_kernel_object():
+    # amplitude 1 and 1/2 differ only in coefficient; the custom kernel borrows the sine's
+    # name but has K(z) = z^3/3 + 2z, so K'(0) = 2; each must subtract its own K'(0)
+    sine1, sine_half = builtin_kernel(SINE), builtin_kernel({"type": "sine", "amplitude": 0.5})
+    custom = InteractionKernel(name=sine1.name, evaluate=lambda z: z ** 3 / 3.0 + 2.0 * z,
+                               d1=lambda z: np.asarray(z, dtype=float) ** 2 + 2.0,
+                               d2=lambda z: 2.0 * np.asarray(z, dtype=float), d2_sup=np.inf,
+                               is_even=False)
+    assert (sine1.d1_at_zero, sine_half.d1_at_zero, custom.d1_at_zero) == (1.0, 0.5, 2.0)
+    x = np.random.default_rng(3).normal(size=(2, 2, 9))
+    off_diagonal = ~np.eye(9, dtype=bool)
+    for kernel in (sine1, sine_half, custom, sine1):
+        params = ModelParams(gamma=1.0, lam=1.0, kernel=kernel)
+        # the j != i sum of a dense pair matrix never evaluates the self term at all
+        dense = np.where(off_diagonal, kernel.d1(x[..., :, None] - x[..., None, :]), 0.0)
+        assert np.abs(pairwise_force(params, x) - dense.sum(axis=-1) / 8).max() < 1e-12
+        assert np.abs(pairwise_force(params, x) - direct_pairwise_force(params, x)).max() < 1e-12
+    assert np.array_equal(pairwise_force(ModelParams(1.0, 1.0, custom), x),
+                          direct_pairwise_force(ModelParams(1.0, 1.0, custom), x))
 
 
 def test_force_needs_two_particles():
@@ -277,7 +341,7 @@ MODELS = st.builds(lambda g, lam, k: ModelParams(gamma=g, lam=lam, kernel=builti
                    st.floats(0.25, 4.0, **_FLOATS), st.floats(0.0, 1.0, **_FLOATS), KERNELS)
 
 
-def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt):
+def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt, noise=noise_for_step):
     """Each replica's pair stepped alone by coupled_step, sampled like the experiment."""
     constants = coupling_constants(params.gamma)
     n_steps = max(1, round(horizon / cfg.dt))
@@ -290,7 +354,7 @@ def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt):
         mods.append([modified_norm_sq(pair, constants)])
         eucs.append([euclidean_norm_sq(pair)])
         for k in range(n_steps):
-            pair = coupled_step(pair, params, cfg, noise_for_step(cfg.seed, k, n, stream=r))
+            pair = coupled_step(pair, params, cfg, noise(cfg.seed, k, n, stream=r))
             if (k + 1) % every == 0 or k + 1 == n_steps:
                 times.append(pair.z.t)
                 mods[-1].append(modified_norm_sq(pair, constants))
@@ -309,6 +373,18 @@ def test_batched_contraction_matches_per_pair_stepping(params, integrator, n, re
     report = contraction_experiment(params, cfg, n, horizon=horizon, replicas=replicas,
                                     sample_dt=sample_dt)
     times, mods, eucs = per_pair_reference(params, cfg, n, horizon, replicas, sample_dt)
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.modified_norm_sq, mods)
+    assert np.array_equal(report.euclid_sq, eucs)
+
+
+def test_contraction_with_more_replicas_than_cached_generators():
+    # every step cycles through more streams than the cache holds, so each draw rebuilds one
+    replicas = _philox.cache_info().maxsize + 6
+    params, cfg = sine_params(), SimConfig(dt=0.01, seed=12)
+    report = contraction_experiment(params, cfg, 2, horizon=0.02, replicas=replicas,
+                                    sample_dt=0.01)
+    times, mods, eucs = per_pair_reference(params, cfg, 2, 0.02, replicas, 0.01, noise=fresh_noise)
     assert np.array_equal(report.times, times)
     assert np.array_equal(report.modified_norm_sq, mods)
     assert np.array_equal(report.euclid_sq, eucs)
@@ -340,3 +416,7 @@ def test_state_and_config_validation():
     for sample_dt in (0.0, -0.1):
         with pytest.raises(ConfigurationError):
             contraction_experiment(sine_params(), SimConfig(), 8, horizon=1.0, sample_dt=sample_dt)
+    state = ParticleState(x=np.zeros(4), v=np.zeros(4))
+    for record_every in (0, -1):   # 0 divided by zero, -1 recorded every step
+        with pytest.raises(ConfigurationError):
+            simulate(state, sine_params(), SimConfig(), 3, record_every=record_every)
