@@ -126,11 +126,11 @@ def relative_entropy(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
     """
     if grid_f.data.shape != grid_g.data.shape:
         raise ValueError("grids must share a common shape")
-    f, g = grid_f.data, grid_g.data
-    m = f >= MASK
-    if np.any(g[m] <= 0.0):
+    m = grid_f.data >= MASK
+    f, g = grid_f.data[m], grid_g.data[m]
+    if np.any(g <= 0.0):
         raise ValueError("support violation: g vanishes where f has mass")
-    return float(np.sum(f[m] * (np.log(f[m]) - np.log(g[m]))) * grid_f.cell_area())
+    return float(np.sum(f * (np.log(f) - np.log(g))) * grid_f.cell_area())
 
 
 def l1_distance(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:

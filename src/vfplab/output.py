@@ -3,16 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable, Sequence
 
 
 def fmt_float(x: float) -> str:
-    """17-significant-digit decimal representation; non-finite values as nan/inf."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    """17-significant-digit decimal representation; non-finite values as nan/inf/-inf."""
+    return f"{float(x):.17g}"
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

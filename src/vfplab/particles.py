@@ -10,7 +10,6 @@ is deterministic given the two trajectories; its modified norm
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -92,17 +91,18 @@ class SimConfig:
         if self.integrator not in INTEGRATORS:
             raise ConfigurationError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
-@functools.lru_cache(maxsize=1024)
-def _philox(seed: int, stream: int) -> tuple[np.random.Philox, np.random.Generator, dict]:
-    """The Philox of one (seed, stream), and its fresh state in lists: faster to set than arrays."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    bits = np.random.Philox(key=key)
-    state = dict(bits.state, state={"counter": [0] * 4, "key": key.tolist()}, buffer=[0] * 4)
-    return bits, np.random.Generator(bits), state
+# The one Philox behind every draw.  Its key (seed, stream) and its counter are its whole state,
+# so noise_for_step sets both, with an empty buffer, before each draw: lists set faster than arrays.
+_BITS = np.random.Philox(0)
+_GEN = np.random.Generator(_BITS)
+_STATE = dict(_BITS.state, buffer=[0] * 4)
 
 
 def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array:
@@ -110,13 +110,13 @@ def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array
 
     Draw i is a pure function of (seed, stream, step_index, i), whatever the particle count,
     the replica batching or the call order.  The step index is the second counter word, so a
-    step can use 2^64 counter blocks before reaching the next step's.  One cached Philox per
-    (seed, stream) has its whole state reset on each call: not thread-safe (vfplab has no threads).
+    step can use 2^64 counter blocks before reaching the next step's.  One module-level Philox
+    is rekeyed to (seed, stream) and its counter reset on each call: not thread-safe (vfplab has
+    no threads).
     """
-    bits, gen, state = _philox(seed, stream)
-    state["state"]["counter"][1] = step_index
-    bits.state = state
-    return gen.standard_normal(n)
+    _STATE["state"] = {"counter": [0, step_index, 0, 0], "key": [seed, stream]}
+    _BITS.state = _STATE
+    return _GEN.standard_normal(n)
 
 
 def _without_self(params: ModelParams, x: Array, sum_all: Callable[[Array], Array]) -> Array:
@@ -199,17 +199,19 @@ def coupled_step(pair: CoupledPair, params: ModelParams, cfg: SimConfig,
                        z_tilde=step(pair.z_tilde, params, cfg, noise))
 
 
-def modified_norm_sq(pair: CoupledPair, constants: CouplingConstants) -> float:
-    """|dx + a dv|^2 + b |dv|^2 summed over particles."""
-    dx, dv = pair.z.x - pair.z_tilde.x, pair.z.v - pair.z_tilde.v
-    p = dx + constants.a * dv
-    return float(p @ p + constants.b * (dv @ dv))
+def _sum_sq(a: Array) -> Array:
+    """a . a over the last axis, rounded exactly like each row's 1-D ``a @ a``."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
-def euclidean_norm_sq(pair: CoupledPair) -> float:
-    """|dx|^2 + |dv|^2 summed over particles."""
-    dx, dv = pair.z.x - pair.z_tilde.x, pair.z.v - pair.z_tilde.v
-    return float(dx @ dx + dv @ dv)
+def modified_norm_sq(dx: Array, dv: Array, constants: CouplingConstants) -> Array:
+    """|dx + a dv|^2 + b |dv|^2 over the last axis (the particles) of difference arrays."""
+    return _sum_sq(dx + constants.a * dv) + constants.b * _sum_sq(dv)
+
+
+def euclidean_norm_sq(dx: Array, dv: Array) -> Array:
+    """|dx|^2 + |dv|^2 over the last axis (the particles) of difference arrays."""
+    return _sum_sq(dx) + _sum_sq(dv)
 
 
 def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
@@ -299,13 +301,13 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
 
     x, v = np.stack([_contraction_replica(cfg, n_particles, r) for r in range(replicas)], 1)
     noise = np.empty((replicas, 1, n_particles))
-    t, times, norms = 0.0, [], []
+    t, times, mods, eucs = 0.0, [], [], []
 
     def sample():
         times.append(t)
         dx, dv = x[:, 0] - x[:, 1], v[:, 0] - v[:, 1]
-        norms.append([(float(p @ p + constants.b * (e @ e)), float(d @ d + e @ e))
-                      for d, e, p in zip(dx, dv, dx + constants.a * dv)])
+        mods.append(modified_norm_sq(dx, dv, constants))
+        eucs.append(euclidean_norm_sq(dx, dv))
 
     sample()
     for k in range(n_steps):
@@ -317,9 +319,9 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
             sample()
 
     times = np.array(times)
-    mods, eucs = np.array(norms).transpose(2, 1, 0)   # each (replicas, samples)
+    mods, eucs = np.array(mods).T, np.array(eucs).T   # each (replicas, samples)
 
-    window = times >= horizon / 4.0
+    window = times >= min(horizon / 4.0, times[-2])   # at least the last two samples
     fitted = np.array([
         -np.polyfit(times[window], np.log(np.maximum(m[window], 1e-300)), 1)[0]
         for m in mods])

@@ -1,5 +1,8 @@
 """Particle system: forces, integrators, noise streams, coupled contraction."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from vfplab import (ConfigurationError, CoupledPair, DivergenceError, Interactio
                     coupled_step, coupling_constants, direct_pairwise_force,
                     euclidean_norm_sq, modified_norm_sq, noise_for_step,
                     pairwise_force, simulate, smallness_threshold, step)
-from vfplab.particles import _contraction_replica, _philox, force_jacobian_norm_bound_check
+from vfplab.particles import _contraction_replica, force_jacobian_norm_bound_check
 
 SINE = {"type": "sine", "amplitude": 1.0}
 
@@ -62,7 +65,7 @@ _CALLS = st.lists(st.tuples(st.one_of(st.sampled_from([0, 7, 2 ** 64 - 1]), _U64
 
 @settings(max_examples=200, deadline=None)
 @given(calls=_CALLS)
-def test_cached_noise_matches_a_fresh_generator_in_any_call_order(calls):
+def test_noise_matches_a_fresh_generator_in_any_call_order(calls):
     # seeds and streams repeat from small pools, steps go back and forth and repeat
     for seed, stream, k, n in calls:
         assert np.array_equal(noise_for_step(seed, k, n, stream=stream),
@@ -78,8 +81,8 @@ def test_mutating_a_noise_draw_leaves_the_next_draw_alone():
 
 
 @pytest.mark.parametrize("bad", [-1, 2 ** 64])
-def test_out_of_range_noise_arguments_raise_and_leave_the_cache_working(bad):
-    noise_for_step(4, 0, 4)   # (4, 0) is now cached, so the bad step hits a live generator
+def test_out_of_range_noise_arguments_raise_and_recover(bad):
+    noise_for_step(4, 0, 4)   # the shared generator now holds key (4, 0), so the bad call rekeys it
     for seed, k, stream in ((bad, 0, 0), (4, bad, 0), (4, 0, bad)):
         with pytest.raises(OverflowError):
             noise_for_step(seed, k, 4, stream=stream)
@@ -272,13 +275,33 @@ def test_coupled_difference_follows_the_linear_map():
 
 def test_norms_of_elementary_displacements():
     constants = coupling_constants(1.0)
-    z = ParticleState(x=np.zeros(2), v=np.zeros(2))
-    dx_only = CoupledPair(z=ParticleState(x=np.array([1.0, 0.0]), v=np.zeros(2)), z_tilde=z)
-    assert abs(modified_norm_sq(dx_only, constants) - 1.0) < 1e-15
-    assert abs(euclidean_norm_sq(dx_only) - 1.0) < 1e-15
-    dv_only = CoupledPair(z=ParticleState(x=np.zeros(2), v=np.array([1.0, 0.0])), z_tilde=z)
+    unit, zero = np.array([1.0, 0.0]), np.zeros(2)
+    assert abs(modified_norm_sq(unit, zero, constants) - 1.0) < 1e-15
+    assert abs(euclidean_norm_sq(unit, zero) - 1.0) < 1e-15
     # a^2 + b = 0.25 + 0.75 = 1 at unit friction
-    assert abs(modified_norm_sq(dv_only, constants) - 1.0) < 1e-15
+    assert abs(modified_norm_sq(zero, unit, constants) - 1.0) < 1e-15
+
+
+_DIFFS = st.tuples(st.integers(1, 6), st.integers(1, 70), st.integers(0, 2 ** 32),
+                   st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=_DIFFS, gamma=st.floats(0.25, 4.0))
+def test_norm_helpers_round_like_per_row_products(shape, gamma):
+    replicas, n, seed, scale = shape
+    rng = np.random.default_rng(seed)
+    dx, dv = scale * rng.standard_normal((2, replicas, n))
+    constants = coupling_constants(gamma)
+    a, b = constants.a, constants.b
+    mods, eucs = modified_norm_sq(dx, dv, constants), euclidean_norm_sq(dx, dv)
+    assert mods.shape == eucs.shape == (replicas,)
+    for r, (d, e) in enumerate(zip(dx, dv)):
+        p = d + a * e
+        mod, euc = float(p @ p + b * (e @ e)), float(d @ d + e @ e)
+        assert mods[r] == mod and euclidean_norm_sq(d, e) == euc
+        assert eucs[r] == euc and modified_norm_sq(d, e, constants) == mod
+        assert np.ndim(modified_norm_sq(d, e, constants)) == np.ndim(euclidean_norm_sq(d, e)) == 0
 
 
 def test_coupled_pair_validation():
@@ -318,6 +341,16 @@ def test_contraction_experiment_is_reproducible():
     assert len(d["fitted_rate"]) == 3
 
 
+def test_contraction_fit_holds_at_least_two_samples():
+    # horizon 0.05 samples t = 0 and 0.05 only; a window of t >= horizon/4 would hold one point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = contraction_experiment(sine_params(), SimConfig(dt=0.01, seed=1), 8,
+                                        horizon=0.05)
+    (m0, m1), (t0, t1) = report.modified_norm_sq[0], report.times
+    assert np.isclose(report.fitted_rates[0], -(np.log(m1) - np.log(m0)) / (t1 - t0), rtol=1e-12)
+
+
 def test_contraction_experiment_flags_broken_smallness():
     params = sine_params(lam=1.0)
     report = contraction_experiment(params, SimConfig(dt=1e-3, seed=1), 8, horizon=0.5)
@@ -351,14 +384,15 @@ def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt, noise=noise
         (x, x_tilde), (v, v_tilde) = _contraction_replica(cfg, n, r)
         pair = CoupledPair(z=ParticleState(x=x, v=v), z_tilde=ParticleState(x=x_tilde, v=v_tilde))
         times = [pair.z.t]
-        mods.append([modified_norm_sq(pair, constants)])
-        eucs.append([euclidean_norm_sq(pair)])
+        mods.append([modified_norm_sq(x - x_tilde, v - v_tilde, constants)])
+        eucs.append([euclidean_norm_sq(x - x_tilde, v - v_tilde)])
         for k in range(n_steps):
             pair = coupled_step(pair, params, cfg, noise(cfg.seed, k, n, stream=r))
             if (k + 1) % every == 0 or k + 1 == n_steps:
                 times.append(pair.z.t)
-                mods[-1].append(modified_norm_sq(pair, constants))
-                eucs[-1].append(euclidean_norm_sq(pair))
+                dx, dv = pair.z.x - pair.z_tilde.x, pair.z.v - pair.z_tilde.v
+                mods[-1].append(modified_norm_sq(dx, dv, constants))
+                eucs[-1].append(euclidean_norm_sq(dx, dv))
     return np.array(times), np.array(mods), np.array(eucs)
 
 
@@ -379,8 +413,8 @@ def test_batched_contraction_matches_per_pair_stepping(params, integrator, n, re
 
 
 def test_contraction_with_more_replicas_than_cached_generators():
-    # every step cycles through more streams than the cache holds, so each draw rebuilds one
-    replicas = _philox.cache_info().maxsize + 6
+    # more streams per step than a 1024-entry cache of generators could hold
+    replicas = 1030
     params, cfg = sine_params(), SimConfig(dt=0.01, seed=12)
     report = contraction_experiment(params, cfg, 2, horizon=0.02, replicas=replicas,
                                     sample_dt=0.01)
@@ -407,8 +441,14 @@ def test_state_and_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ConfigurationError):
         SimConfig(integrator="leapfrog")
-    with pytest.raises(ConfigurationError):
-        SimConfig(seed=-1)
+    for seed in (-1, 1.5, "3", True):
+        with pytest.raises(ConfigurationError):
+            SimConfig(seed=seed)
+    numpy_seed = contraction_experiment(sine_params(), SimConfig(seed=np.uint64(3)), 4,
+                                        horizon=0.01, replicas=2)
+    int_seed = contraction_experiment(sine_params(), SimConfig(seed=3), 4, horizon=0.01, replicas=2)
+    assert type(numpy_seed.seed) is int
+    assert json.dumps(numpy_seed.to_dict()) == json.dumps(int_seed.to_dict())
     with pytest.raises(ConfigurationError):
         contraction_experiment(sine_params(), SimConfig(), 8, horizon=-1.0)
     with pytest.raises(ConfigurationError):
