@@ -15,46 +15,15 @@ through an interaction kernel K that need not be symmetric.  It provides
 * a CLI that runs the standard experiments and writes CSV/JSON artifacts.
 """
 
-from .errors import (ConfigurationError, DivergenceError, NonConvergenceError,
-                     SchemeError, UnconfinedError, VfpError)
-from .functionals import (classical_free_energy, entropy, fisher_information,
-                          l1_distance, local_equilibrium, quadratic_free_energy,
-                          relative_entropy, sample_from_grid, w2_empirical, w2_grid)
-from .gaussian import (GaussianState, GibbsN, bures_w2, free_energy_particle_limit,
-                       free_energy_quadratic, gaussian_kl, gibbs_measure_N,
-                       moment_flow, stationary_gaussian)
-from .model import (CouplingConstants, InteractionKernel, ModelParams,
-                    builtin_kernel, coupling_constants, kernel_sum, mean_field_force,
-                    norm_equivalence_ratio, smallness_holds, smallness_threshold)
-from .particles import (ContractionReport, CoupledPair, ParticleState, SimConfig,
-                        contraction_experiment, coupled_step, direct_pairwise_force,
-                        euclidean_norm_sq, force_jacobian_norm_bound_check,
-                        modified_norm_sq, noise_for_step, pairwise_force, simulate,
-                        step)
-from .pde import (GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_from_density,
-                  grid_to_binary, grid_to_csv, run_vfp, stationary_fixed_point,
-                  vfp_step, x_marginal)
+from . import errors, functionals, gaussian, model, particles, pde
+from .errors import *
+from .functionals import *
+from .gaussian import *
+from .model import *
+from .particles import *
+from .pde import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError", "DivergenceError", "NonConvergenceError", "SchemeError",
-    "UnconfinedError", "VfpError",
-    "classical_free_energy", "entropy", "fisher_information", "l1_distance",
-    "local_equilibrium", "quadratic_free_energy", "relative_entropy",
-    "sample_from_grid", "w2_empirical", "w2_grid",
-    "GaussianState", "GibbsN", "bures_w2", "free_energy_particle_limit",
-    "free_energy_quadratic", "gaussian_kl", "gibbs_measure_N", "moment_flow",
-    "stationary_gaussian",
-    "CouplingConstants", "InteractionKernel", "ModelParams", "builtin_kernel",
-    "coupling_constants", "kernel_sum", "mean_field_force", "norm_equivalence_ratio",
-    "smallness_holds", "smallness_threshold",
-    "ContractionReport", "CoupledPair", "ParticleState", "SimConfig",
-    "contraction_experiment", "coupled_step", "direct_pairwise_force",
-    "euclidean_norm_sq", "force_jacobian_norm_bound_check", "modified_norm_sq",
-    "noise_for_step", "pairwise_force", "simulate", "step",
-    "GridConfig", "PhaseGrid", "cfl_bound", "gaussian_grid", "grid_from_density",
-    "grid_to_binary", "grid_to_csv", "run_vfp", "stationary_fixed_point",
-    "vfp_step", "x_marginal",
-    "__version__",
-]
+__all__ = [name for module in (errors, functionals, gaussian, model, particles, pde)
+           for name in module.__all__] + ["__version__"]

@@ -64,6 +64,13 @@ def _positive(value, name: str) -> float:
     return value
 
 
+def _pair(value, name: str, entry=finite_float) -> list:
+    """A config list of exactly two entries, each read by ``entry``."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigurationError(f"{name} must be a list of 2 entries, got {value!r}")
+    return [entry(v, name) for v in value]
+
+
 def _flag(value, name: str) -> bool:
     """A config switch: only the JSON literals true and false pass."""
     if not isinstance(value, bool):
@@ -81,6 +88,9 @@ def load_config(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("top-level config must be a JSON object")
+    unknown = set(cfg) - {"model", "sim", "grid", "experiment", "output"}
+    if unknown:
+        raise ConfigurationError(f"config has unknown top-level keys {sorted(unknown)}")
     return cfg
 
 
@@ -134,8 +144,8 @@ def parse_initial(section, default_mean=(1.0, 0.0)) -> GaussianState:
     if section is None:
         return GaussianState(mean=list(default_mean), cov=[[1.0, 0.0], [0.0, 1.0]])
     _require_keys(section, "initial", set(), {"mean", "cov"})
-    mean = section.get("mean", list(default_mean))
-    cov = section.get("cov", [[1.0, 0.0], [0.0, 1.0]])
+    mean = _pair(section.get("mean", list(default_mean)), "initial mean")
+    cov = _pair(section.get("cov", [[1.0, 0.0], [0.0, 1.0]]), "initial cov", _pair)
     try:
         return GaussianState(mean=mean, cov=cov)
     except ValueError as exc:
@@ -291,6 +301,9 @@ def cmd_fisher(args) -> int:
 
     probe = GridConfig(dt=1.0, **geometry)
     if _flag(exp.get("stationary_start", False), "stationary_start"):
+        if "initial" in exp:
+            raise ConfigurationError(
+                "experiment 'initial' cannot be set with 'stationary_start': true")
         gcfg = _grid_config(geometry, dt, params,
                             gaussian_grid(probe, [0.0, 0.0], np.eye(2)))
         grid0 = stationary_fixed_point(params, gcfg)

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["VfpError", "ConfigurationError", "DivergenceError", "SchemeError", "UnconfinedError",
+           "NonConvergenceError"]
+
 
 class VfpError(Exception):
     """Base class for package-specific errors."""

@@ -45,9 +45,12 @@ class GaussianState:
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
         if self.mean.shape != (2,) or self.cov.shape != (2, 2):
             raise ValueError("mean must have shape (2,), cov shape (2, 2)")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
+            raise ValueError("mean and covariance must be finite")
+        (s_xx, s_xv), (s_vx, s_vv) = self.cov.tolist()
+        if abs(s_xv - s_vx) > 1e-12 + 1e-5 * min(abs(s_xv), abs(s_vx)):   # isclose both ways
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(self.cov).min() <= 0.0:
+        if not (s_xx > 0.0 and s_xx * s_vv - s_vx * s_vx > 0.0):   # Sylvester, lower triangle
             raise ValueError("covariance must be positive definite")
 
 
@@ -128,17 +131,16 @@ def stationary_gaussian(params: ModelParams) -> GaussianState:
     return GaussianState(mean=[-b_eff, 0.0], cov=[[1.0 / k, 0.0], [0.0, 1.0]])
 
 
-def _sqrtm_psd(S: Array) -> Array:
-    evals, evecs = np.linalg.eigh(S)
-    return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
+def _det(cov: Array) -> float:
+    return cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
 
 
 def bures_w2(g1: GaussianState, g2: GaussianState) -> float:
-    """Quadratic Wasserstein distance between Gaussians (Bures formula)."""
+    """Quadratic Wasserstein distance between Gaussians (Bures formula), where in 2x2
+    tr (S2^1/2 S1 S2^1/2)^1/2 = sqrt(tr S1 S2 + 2 sqrt(det S1 det S2)) by Cayley-Hamilton."""
     dm = g1.mean - g2.mean
-    r2 = _sqrtm_psd(g2.cov)
-    cross = _sqrtm_psd(r2 @ g1.cov @ r2)
-    val = float(dm @ dm + np.trace(g1.cov + g2.cov - 2.0 * cross))
+    cross = math.sqrt(np.sum(g1.cov * g2.cov.T) + 2.0 * math.sqrt(_det(g1.cov) * _det(g2.cov)))
+    val = float(dm @ dm + (np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * cross))
     return math.sqrt(max(val, 0.0))
 
 
@@ -164,8 +166,7 @@ def free_energy_quadratic(g: GaussianState, params: ModelParams) -> float:
     a_eff, b_eff = _quadratic_coeffs(params)
     m_x, m_v = g.mean
     s_xx, s_vv = g.cov[0, 0], g.cov[1, 1]
-    _, logdet = np.linalg.slogdet(g.cov)
-    neg_entropy = -(1.0 + LOG_2PI) - 0.5 * logdet
+    neg_entropy = -(1.0 + LOG_2PI) - 0.5 * math.log(_det(g.cov))
     second_moment = 0.5 * (m_x * m_x + s_xx + m_v * m_v + s_vv)
     return float(neg_entropy + second_moment + b_eff * m_x + a_eff * s_xx)
 
@@ -185,9 +186,8 @@ def gibbs_measure_N(params: ModelParams, n: int) -> GibbsN:
         raise UnconfinedError(
             f"position precision eigenvalue 1 + 2*lam*a*N/(N-1) = {bulk:g} <= 0")
     c = 2.0 * a_eff / (n - 1)
-    pos = (1.0 + c * n) * np.eye(n) - c * np.ones((n, n))
     precision = np.zeros((2 * n, 2 * n))
-    precision[:n, :n] = pos
+    precision[:n, :n] = (1.0 + c * n) * np.eye(n) - c * np.ones((n, n))
     precision[n:, n:] = np.eye(n)
     mean = np.concatenate([-b_eff * np.ones(n), np.zeros(n)])
     return GibbsN(n=n, mean=mean, precision=precision)
@@ -207,7 +207,7 @@ def free_energy_particle_limit(g: GaussianState, params: ModelParams, n: int) ->
     stiffening = 2.0 * a_eff * (n / (n - 1))   # bulk - 1; finite for any int n
     if 1.0 + stiffening <= 0.0:
         raise UnconfinedError(f"bulk eigenvalue 1 + 2*lam*a*N/(N-1) = {1 + stiffening:g} <= 0")
-    _, logdet_cov = np.linalg.slogdet(g.cov)
     trace = (1.0 + 2.0 * a_eff) * g.cov[0, 0] + g.cov[1, 1]   # tr(P cov) / N
     quad = (g.mean[0] + b_eff) ** 2 + g.mean[1] ** 2           # only the all-ones direction
+    logdet_cov = math.log(_det(g.cov))
     return float(0.5 * (trace - 2.0 + quad - (n - 1) / n * math.log1p(stiffening) - logdet_cov))

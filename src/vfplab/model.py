@@ -251,15 +251,18 @@ def norm_equivalence_ratio(constants: CouplingConstants) -> float:
     return upper / lower
 
 
-def _direct_sum(fn: KernelFn, x: Array, points: Array, weights=None, chunk: int = 1024) -> Array:
-    """sum_j w_j fn(x_i - y_j) term by term, in blocks of at most chunk * len(points) pairs."""
-    ys = np.broadcast_to(points, x.shape[:-1] + points.shape[-1:])
-    out = np.empty(x.shape)
-    for row in np.ndindex(x.shape[:-1]):
-        for lo in range(0, x.shape[-1], chunk):
-            terms = np.asarray(fn(x[row][lo:lo + chunk, None] - ys[row]))
-            out[row][lo:lo + chunk] = terms.sum(axis=1) if weights is None else terms @ weights
-    return out
+def _direct_sum(fn: KernelFn, x: Array, points: Array, weights=None) -> Array:
+    """sum_j w_j fn(x_i - y_j) term by term, one fn call per block of about 2^14 pairs (small
+    enough to stay in cache), the targets taken in C order across all rows of ``x``."""
+    n, m = x.shape[-1], points.shape[-1]
+    xs, rows = x.reshape(-1, 1), np.arange(x.size) // n
+    ys = np.broadcast_to(points, x.shape[:-1] + (m,)).reshape(math.prod(x.shape[:-1]), m)
+    out = np.empty(x.size)
+    block = max(1, 2 ** 14 // max(m, 1))
+    for lo in range(0, x.size, block):
+        terms = np.asarray(fn(xs[lo:lo + block] - ys[rows[lo:lo + block]]))
+        out[lo:lo + block] = terms.sum(axis=1) if weights is None else terms @ weights
+    return out.reshape(x.shape)
 
 
 def _moment(values: Array, weights: Optional[Array]) -> Array:

@@ -128,9 +128,9 @@ def _without_self(params: ModelParams, x: Array, sum_all: Callable[[Array], Arra
     return (sum_all(x) - params.kernel.d1_at_zero) / (n - 1)
 
 
-def direct_pairwise_force(params: ModelParams, x: Array, chunk: int = 1024) -> Array:
+def direct_pairwise_force(params: ModelParams, x: Array) -> Array:
     """F_i = (1/(N-1)) sum_{j != i} dK/dx(x_i - x_j) by direct summation, per row of the last axis."""
-    return _without_self(params, x, lambda x: _direct_sum(params.kernel.d1, x, x, chunk=chunk))
+    return _without_self(params, x, lambda x: _direct_sum(params.kernel.d1, x, x))
 
 
 def pairwise_force(params: ModelParams, x: Array) -> Array:

@@ -321,6 +321,7 @@ def test_grid_scheme_failure_exits_two(tmp_path, monkeypatch):
     lambda c: c["model"].pop("gamma") and None or c,
     lambda c: c["experiment"].update(mystery=1) or c,
     lambda c: c.update(grid={"nx": 2}) or c,
+    lambda c: c.update(experimnet=c.pop("experiment")) or c,
 ])
 def test_configuration_errors_exit_one(tmp_path, breakage):
     config = {
@@ -365,6 +366,11 @@ def test_configuration_errors_exit_one(tmp_path, breakage):
     ("lyapunov", "experiment", "witness_search", 0),
     ("fisher", "experiment", "stationary_start", "yes"),
     ("fisher", "experiment", "stationary_start", 1),
+    *[(command, "experiment", "initial", initial)
+      for command in ("fisher", "lyapunov", "oracle", "simulate")
+      for initial in ({"mean": ["1.5", 0.0]}, {"mean": [0.0, True]}, {"mean": [float("nan"), 0.0]},
+                      {"cov": [["2", 0.0], [0.0, 1.0]]}, {"cov": [[1.0, 0.0], [0.0, float("inf")]]},
+                      {"mean": [0.0, 0.0, 0.0]}, {"cov": [1.0, 1.0]})],
 ])
 def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, key, value):
     config = small_config(command, tmp_path)
@@ -375,6 +381,25 @@ def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, k
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err and key in err
     # rejected before anything is computed or written
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_misspelled_top_level_section_exits_one(tmp_path, capsys):
+    config = small_config("contraction", tmp_path)
+    config["experimnet"] = config.pop("experiment")
+    assert main(["contraction", "--config", write_config(tmp_path / "bad.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err and "experimnet" in err
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_fisher_stationary_start_rejects_an_initial_state(tmp_path, capsys):
+    config = small_config("fisher", tmp_path)
+    config["experiment"].update(stationary_start=True, initial={"mean": "garbage", "covv": 1})
+    assert main(["fisher", "--config", write_config(tmp_path / "bad.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "initial" in err and "stationary_start" in err
     assert not list(tmp_path.glob("run*"))
 
 

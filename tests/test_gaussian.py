@@ -14,6 +14,7 @@ from vfplab import (ConfigurationError, GaussianState, ModelParams, UnconfinedEr
                     moment_flow, stationary_gaussian)
 
 QUAD = {"type": "quadratic_linear", "a": 1.0, "b": 1.0}
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
 
 
 def make_params(gamma=1.0, lam=0.5, a=1.0, b=1.0):
@@ -28,6 +29,54 @@ def test_gaussian_state_validation():
         GaussianState(mean=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         GaussianState(mean=[0.0], cov=np.eye(2))
+    # non-finite entries anywhere, including the upper off-diagonal no definiteness test reads
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            cov = np.eye(2)
+            cov[i, j] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(mean=[0.0, 0.0], cov=cov)
+        for mean in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianState(mean=mean, cov=np.eye(2))
+    # definiteness is read from the lower triangle, as eigvalsh reads it: the upper entry,
+    # within the symmetry tolerance, would make this matrix indefinite
+    near_singular = np.array([[1.0, 1.0 + 2e-6], [1.0 - 3e-6, 1.0]])
+    assert eigensolver_rule_accepts(near_singular) and accepts(near_singular)
+
+
+def eigensolver_rule_accepts(cov):
+    """The state check written with numpy: np.allclose symmetry, then eigvalsh definiteness."""
+    return bool(np.allclose(cov, cov.T, atol=1e-12) and np.linalg.eigvalsh(cov).min() > 0.0)
+
+
+def accepts(cov):
+    try:
+        GaussianState(mean=[0.0, 0.0], cov=cov)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_scale=st.floats(-3.0, 3.0, **_FLOATS), angle=st.floats(0.0, math.pi, **_FLOATS),
+       gaps=st.tuples(*[st.floats(-6.0, 0.0, **_FLOATS)] * 2),
+       signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+       asymmetry=st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]))
+def test_state_check_agrees_with_the_eigensolver_rule(log_scale, angle, gaps, signs, asymmetry):
+    # eigenvalues sign * 10^(log_scale + gap): definite, indefinite and negative definite
+    evals = [sign * 10.0 ** (log_scale + gap) for sign, gap in zip(signs, gaps)]
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    cov = rot @ np.diag(evals) @ rot.T
+    cov[0, 1] = cov[1, 0]
+    lower = np.linalg.eigvalsh(cov)
+    assume(np.abs(lower).min() >= 1e-6 * np.abs(lower).max())
+    # move the upper entry, which the definiteness tests do not read, by a multiple of the
+    # symmetry tolerance |s_xv - s_vx| <= 1e-12 + 1e-5 min(|s_xv|, |s_vx|)
+    cov[0, 1] += asymmetry * (1e-12 + 1e-5 * abs(cov[1, 0]))
+    assert accepts(cov) == eigensolver_rule_accepts(cov)
+    if asymmetry in (2.0, -2.0):
+        assert not accepts(cov)
 
 
 def test_moment_flow_matches_matrix_exponential_without_interaction():
@@ -54,9 +103,6 @@ def expm_flow(g0, params, t):
     e_mean = expm(np.array([[0.0, 1.0], [-1.0, -params.gamma]]) * t)
     e_cov = expm(np.array([[0.0, 1.0], [-k, -params.gamma]]) * t)
     return m_star + e_mean @ (g0.mean - m_star), s_star + e_cov @ (g0.cov - s_star) @ e_cov.T
-
-
-_FLOATS = dict(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,6 +214,73 @@ def test_bures_metric_axioms_on_random_instances():
         assert abs(dab - dba) < 1e-10
         assert dab >= 0.0
         assert bures_w2(ga, gc) <= dab + bures_w2(gb, gc) + 1e-10
+
+
+def sqrtm_psd(S):
+    evals, evecs = np.linalg.eigh(S)
+    return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
+
+
+def bures_sq_reference(g1, g2):
+    """W2^2 by the eigendecomposition form of the Bures formula, in any dimension."""
+    r2 = sqrtm_psd(g2.cov)
+    dm = g1.mean - g2.mean
+    return float(dm @ dm + np.trace(g1.cov + g2.cov - 2.0 * sqrtm_psd(r2 @ g1.cov @ r2)))
+
+
+def random_cov(s_xx, s_vv, rho):
+    s_xv = rho * math.sqrt(s_xx * s_vv)
+    return [[s_xx, s_xv], [s_xv, s_vv]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(["independent", "near_identical_cov", "equal_mean"]),
+       log_scale=st.floats(-4.0, 4.0, **_FLOATS),
+       first=st.tuples(st.floats(0.05, 5.0, **_FLOATS), st.floats(0.05, 5.0, **_FLOATS),
+                       st.floats(-0.99, 0.99, **_FLOATS)),
+       second=st.tuples(st.floats(0.05, 5.0, **_FLOATS), st.floats(0.05, 5.0, **_FLOATS),
+                        st.floats(-0.99, 0.99, **_FLOATS)),
+       nudge=st.floats(-1e-8, 1e-8, **_FLOATS),
+       means=st.tuples(*[st.floats(-3.0, 3.0, **_FLOATS)] * 4))
+def test_bures_closed_form_matches_the_eigendecomposition(case, log_scale, first, second,
+                                                         nudge, means):
+    scale = 10.0 ** log_scale
+    cov1 = scale * np.array(random_cov(*first))
+    cov2 = cov1 * (1.0 + nudge) if case == "near_identical_cov" else \
+        scale * np.array(random_cov(*second))
+    mean1 = math.sqrt(scale) * np.array(means[:2])
+    mean2 = mean1 if case == "equal_mean" else math.sqrt(scale) * np.array(means[2:])
+    g1, g2 = GaussianState(mean1, cov1), GaussianState(mean2, cov2)
+    dm = mean1 - mean2
+    bound = 1e-12 * (np.trace(cov1) + np.trace(cov2) + dm @ dm)
+    assert abs(bures_w2(g1, g2) ** 2 - max(bures_sq_reference(g1, g2), 0.0)) <= bound
+
+
+def free_energies_reference(g, params, n):
+    """Both free energies written out with a slogdet log-determinant."""
+    a, b = params.kernel.coeffs
+    a_eff, b_eff = params.lam * a, params.lam * b
+    (m_x, m_v), (s_xx, s_vv) = g.mean, np.diag(g.cov)
+    _, logdet = np.linalg.slogdet(g.cov)
+    quadratic = (-(1.0 + math.log(2.0 * math.pi)) - 0.5 * logdet
+                 + 0.5 * (m_x * m_x + s_xx + m_v * m_v + s_vv) + b_eff * m_x + a_eff * s_xx)
+    particle = 0.5 * ((1.0 + 2.0 * a_eff) * s_xx + s_vv - 2.0 + (m_x + b_eff) ** 2 + m_v ** 2
+                      - (n - 1) / n * math.log1p(2.0 * a_eff * (n / (n - 1))) - logdet)
+    return quadratic, particle
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.0, 2.0, **_FLOATS), a=st.floats(-0.2, 1.0, **_FLOATS),
+       b=st.floats(-2.0, 2.0, **_FLOATS), mean=st.tuples(*[st.floats(-3.0, 3.0, **_FLOATS)] * 2),
+       s_xx=st.floats(0.05, 5.0, **_FLOATS), s_vv=st.floats(0.05, 5.0, **_FLOATS),
+       rho=st.floats(-0.99, 0.99, **_FLOATS), n=st.integers(2, 10 ** 6))
+def test_free_energies_match_the_slogdet_forms(lam, a, b, mean, s_xx, s_vv, rho, n):
+    assume(1.0 + 4.0 * lam * a >= 0.2)
+    params = make_params(lam=lam, a=a, b=b)
+    g = GaussianState(mean=mean, cov=random_cov(s_xx, s_vv, rho))
+    quadratic, particle = free_energies_reference(g, params, n)
+    assert abs(free_energy_quadratic(g, params) - quadratic) <= 1e-13
+    assert abs(free_energy_particle_limit(g, params, n) - particle) <= 1e-13
 
 
 def test_gaussian_kl_closed_forms():

@@ -244,6 +244,20 @@ def test_kernel_sum_matches_dense_summation(spec, derivative, weighted, batched,
     assert np.all(np.abs(got - dense) <= bound)
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+def test_weighted_direct_sum_over_many_blocks_matches_dense_summation(derivative):
+    # 300 targets against 300 points: 54 targets per 2^14-pair block, six blocks
+    spec = {"type": "gaussian_bump", "height": 1.3, "width": 0.6}
+    rng = np.random.default_rng(4)
+    x, y, w = rng.uniform(-3.0, 3.0, 300), rng.uniform(-3.0, 3.0, 300), rng.uniform(0.1, 2.0, 300)
+    kernel = builtin_kernel(spec)
+    fn = kernel.d1 if derivative else kernel.evaluate
+    dense = fn(x[:, None] - y[None, :]) @ w
+    got = kernel_sum(kernel, x, y, w, derivative=derivative)
+    bound = 1e-12 * (np.abs(dense) + term_scale(spec, x, y, derivative) @ w) + 1e-300
+    assert got.shape == x.shape and np.all(np.abs(got - dense) <= bound)
+
+
 def flat_only(fn):
     """``fn`` that refuses pair matrices: any input of two or more dimensions."""
     def guarded(z):

@@ -108,12 +108,15 @@ def test_pair_sum_reduction_matches_direct_summation():
         assert np.abs(fast - slow).max() < 1e-12
 
 
-def test_direct_force_chunking_is_invisible():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=10)
-    params = sine_params()
-    assert np.array_equal(direct_pairwise_force(params, x, chunk=3),
-                          direct_pairwise_force(params, x, chunk=1024))
+def test_direct_force_blocks_are_invisible():
+    # 20 x 2 rows of 64 targets against 64 points: 2^14-pair blocks of 256 targets, ten of them
+    params = ModelParams(gamma=1.0, lam=1.0,
+                         kernel=builtin_kernel({"type": "gaussian_bump",
+                                                "height": 1.0, "width": 0.8}))
+    x = np.random.default_rng(2).normal(size=(20, 2, 64))
+    batched = direct_pairwise_force(params, x)
+    for row in np.ndindex(x.shape[:-1]):
+        assert np.array_equal(batched[row], direct_pairwise_force(params, x[row]))
 
 
 def test_sine_force_two_particles():
