@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -182,14 +183,17 @@ def cmd_contraction(args) -> int:
     sim, n = parse_sim(cfg, args.seed)
     exp = _experiment(cfg, {"horizon", "replicas", "sample_dt"})
     sample_dt = exp.get("sample_dt")
+    horizon = _positive(exp.get("horizon", 20.0), "horizon")
+    replicas = _count(exp.get("replicas", 4), "replicas", 1)
     prefix = _out_prefix(cfg, args)
     report = contraction_experiment(
-        params, sim, n, horizon=_positive(exp.get("horizon", 20.0), "horizon"),
-        replicas=_count(exp.get("replicas", 4), "replicas", 1),
+        params, sim, n, horizon=horizon, replicas=replicas,
         sample_dt=None if sample_dt is None else _positive(sample_dt, "sample_dt"))
-    write_json(prefix + "_contraction.json", report.to_dict())
+    write_json(prefix + "_contraction.json", _run_parameters(
+        params, dt=sim.dt, horizon=horizon, integrator=sim.integrator, n_particles=n,
+        replicas=replicas, seed=sim.seed, **report.to_dict()))
     rows = []
-    for r in range(report.replicas):
+    for r in range(replicas):
         m0, e0 = report.modified_norm_sq[r, 0], report.euclid_sq[r, 0]
         for s, t in enumerate(report.times):
             decay = math.exp(-report.rate * t)
@@ -290,7 +294,6 @@ def cmd_lyapunov(args) -> int:
 def cmd_fisher(args) -> int:
     cfg = load_config(args.config)
     params = parse_model(cfg)
-    parse_sim(cfg, args.seed)
     geometry, dt = parse_grid(cfg)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "stationary_start"})
     horizon = _positive(exp.get("horizon", 10.0), "horizon")
@@ -304,13 +307,11 @@ def cmd_fisher(args) -> int:
         if "initial" in exp:
             raise ConfigurationError(
                 "experiment 'initial' cannot be set with 'stationary_start': true")
-        gcfg = _grid_config(geometry, dt, params,
-                            gaussian_grid(probe, [0.0, 0.0], np.eye(2)))
-        grid0 = stationary_fixed_point(params, gcfg)
+        grid0 = stationary_fixed_point(params, probe)
     else:
         initial_g = parse_initial(exp.get("initial"))
         grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-        gcfg = _grid_config(geometry, dt, params, grid0)
+    gcfg = _grid_config(geometry, dt, params, grid0)
 
     snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
 
@@ -345,12 +346,11 @@ def cmd_stationary(args) -> int:
     params = parse_model(cfg)
     geometry, dt = parse_grid(cfg)
     gcfg = GridConfig(dt=dt if dt is not None else 1e-3, **geometry)
-    exp = _experiment(cfg, {"omega", "tol", "max_iter"})
-    omega = finite_float(exp.get("omega", 0.5), "omega")
+    exp = _experiment(cfg, {"tol", "max_iter"})
     tol = _positive(exp.get("tol", 1e-10), "tol")
     max_iter = _count(exp.get("max_iter", 10000), "max_iter", 1)
     prefix = _out_prefix(cfg, args)
-    grid = stationary_fixed_point(params, gcfg, omega=omega, tol=tol, max_iter=max_iter)
+    grid = stationary_fixed_point(params, gcfg, tol=tol, max_iter=max_iter)
     grid_to_csv(grid, prefix + "_stationary.csv")
     grid_to_binary(grid, prefix + "_stationary")
     constants = coupling_constants(params.gamma)
@@ -445,7 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # library warnings get the CLI's one-line format, not a source location
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -235,15 +235,6 @@ def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
 class ContractionReport:
     """Synchronous-coupling decay curves and envelope diagnostics."""
 
-    gamma: float
-    lam: float
-    kernel: str
-    n_particles: int
-    dt: float
-    horizon: float
-    replicas: int
-    seed: int
-    integrator: str
     rate: float                      # guaranteed squared-norm decay rate a/4
     times: Array                     # (S,)
     modified_norm_sq: Array          # (R, S)
@@ -335,9 +326,6 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
         warnings.append("envelope violated inside the guaranteed regime")
 
     return ContractionReport(
-        gamma=params.gamma, lam=params.lam, kernel=params.kernel.name,
-        n_particles=n_particles, dt=cfg.dt, horizon=horizon, replicas=replicas,
-        seed=cfg.seed, integrator=cfg.integrator, rate=rate, times=times,
-        modified_norm_sq=mods, euclid_sq=eucs, fitted_rates=fitted,
+        rate=rate, times=times, modified_norm_sq=mods, euclid_sq=eucs, fitted_rates=fitted,
         worst_ratio_modified=worst_mod, worst_ratio_euclid=worst_euc,
         envelope_ok=envelope_ok, smallness=small, warnings=warnings)

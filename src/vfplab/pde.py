@@ -259,18 +259,16 @@ def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: floa
     return snaps
 
 
-def stationary_fixed_point(params: ModelParams, cfg: GridConfig, omega: float = 0.5,
-                           tol: float = 1e-10, max_iter: int = 10000) -> PhaseGrid:
+def stationary_fixed_point(params: ModelParams, cfg: GridConfig, tol: float = 1e-10,
+                           max_iter: int = 10000) -> PhaseGrid:
     """Self-consistent steady state by damped fixed-point iteration.
 
-    Iterates rho <- (1-omega) rho + omega * Normalize(exp(-x^2/2 - lam K*rho))
+    Iterates rho <- (rho + Normalize(exp(-x^2/2 - lam K*rho))) / 2
     on the position marginal, then attaches the Maxwellian velocity profile.
     """
     if not smallness_holds(params):
         warnings.warn("smallness condition violated: the fixed point may not be unique",
                       stacklevel=2)
-    if not (0 < omega <= 1):
-        raise ConfigurationError("omega must lie in (0, 1]")
     if not tol > 0:
         raise ConfigurationError("tol must be positive")
     dx = 2.0 * cfg.Lx / cfg.nx
@@ -284,7 +282,7 @@ def stationary_fixed_point(params: ModelParams, cfg: GridConfig, omega: float = 
         conv = kernel_sum(params.kernel, x, x, rho) * dx
         target = np.exp(base - params.lam * conv)
         target /= target.sum() * dx
-        new = (1.0 - omega) * rho + omega * target
+        new = 0.5 * rho + 0.5 * target
         residual = float(np.abs(new - rho).sum() * dx)
         rho = new
         if residual < tol:

@@ -9,7 +9,7 @@ import pytest
 
 import vfplab.pde
 from vfplab import (GridConfig, ModelParams, SchemeError, builtin_kernel, cfl_bound,
-                    gaussian_grid)
+                    gaussian_grid, stationary_fixed_point)
 from vfplab.cli import main
 from vfplab.output import fmt_float, write_csv, write_json
 
@@ -46,10 +46,13 @@ def test_csv_and_json_writers(tmp_path):
 
 # ------------------------------------------------------------- subcommands --
 
-def assert_run_parameters(report, **run):
-    """The model and grid keys every grid report carries, plus ``run``'s values."""
+def assert_run_parameters(report, grid=True, **run):
+    """The model keys every report carries, the grid keys of grid reports, and ``run``'s values."""
     assert {"kernel", "gamma", "lambda"} <= set(report)
-    assert set(report["grid"]) == {"Lx", "Lv", "nx", "nv", "splitting"}
+    if grid:
+        assert set(report["grid"]) == {"Lx", "Lv", "nx", "nv", "splitting"}
+    else:
+        assert "grid" not in report
     for key, value in run.items():
         assert report[key] == value, key
 
@@ -108,6 +111,10 @@ def test_contraction_subcommand(tmp_path):
     assert report["smallness"] is True
     assert report["rate"] == 0.125
     assert len(report["fitted_rate"]) == 2
+    assert_run_parameters(report, grid=False, kernel="sine(amplitude=1)", gamma=1.0, dt=0.002,
+                          horizon=0.5, integrator="kinetic_splitting", n_particles=8,
+                          replicas=2, seed=11)
+    assert report["lambda"] == 0.125 and "lam" not in report
     # 2 replicas x (6 samples + t=0)
     assert len(csv_path.read_text().splitlines()) == 1 + 2 * 6
 
@@ -173,6 +180,23 @@ def test_lyapunov_report_records_the_auto_dt(tmp_path):
     params = ModelParams(gamma=1.0, lam=0.0625, kernel=builtin_kernel(config["model"]["kernel"]))
     auto = 0.9 * 0.5 * cfl_bound(gaussian_grid(probe, [1.0, 0.0], np.eye(2)), params)
     assert_run_parameters(report, dt=auto, horizon=0.1, seed=0)
+
+
+@pytest.mark.parametrize("b, lam", [(4.0, 1.0), (8.0, 0.5), (8.0, 1.0)])
+def test_fisher_report_records_the_auto_dt_of_the_fixed_point(tmp_path, b, lam):
+    # the CFL budget of the fixed point it steps, tighter here than that of N(0, I)
+    config = small_config("fisher", tmp_path)
+    config["model"] = {"gamma": 1.0, "lambda": lam,
+                       "kernel": {"type": "quadratic_linear", "a": 0.5, "b": b}}
+    config["grid"] = {"Lx": 6.0, "Lv": 6.0, "nx": 64, "nv": 32, "dt": "auto"}
+    config["experiment"] = {"horizon": 0.05, "stationary_start": True}
+    assert main(["fisher", "--config", write_config(tmp_path / "a.json", config)]) == 0
+    report = json.loads((tmp_path / "run_fisher.json").read_text())
+    probe = GridConfig(Lx=6.0, Lv=6.0, nx=64, nv=32, dt=1.0)
+    params = ModelParams(gamma=1.0, lam=lam, kernel=builtin_kernel(config["model"]["kernel"]))
+    with pytest.warns(UserWarning, match="smallness"):   # library callers keep Python's warning
+        target = stationary_fixed_point(params, probe)
+    assert_run_parameters(report, dt=0.9 * 0.5 * cfl_bound(target, params), horizon=0.05)
 
 
 def test_lyapunov_witness_search(tmp_path):
@@ -371,6 +395,7 @@ def test_configuration_errors_exit_one(tmp_path, breakage):
       for initial in ({"mean": ["1.5", 0.0]}, {"mean": [0.0, True]}, {"mean": [float("nan"), 0.0]},
                       {"cov": [["2", 0.0], [0.0, 1.0]]}, {"cov": [[1.0, 0.0], [0.0, float("inf")]]},
                       {"mean": [0.0, 0.0, 0.0]}, {"cov": [1.0, 1.0]})],
+    ("stationary", "experiment", "omega", 0.5),
 ])
 def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, key, value):
     config = small_config(command, tmp_path)
@@ -382,6 +407,24 @@ def test_malformed_config_numbers_exit_one(tmp_path, capsys, command, section, k
     assert "configuration error" in err and "Traceback" not in err and key in err
     # rejected before anything is computed or written
     assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("command", ["fisher", "stationary", "oracle"])
+def test_subcommands_without_particles_ignore_the_sim_section(tmp_path, command):
+    config = small_config(command, tmp_path)
+    config["sim"] = {"dt": "garbage", "bogus": 1}
+    assert main([command, "--config", write_config(tmp_path / "ok.json", config)]) == 0
+
+
+def test_library_warnings_print_as_one_cli_line(tmp_path):
+    config = small_config("lyapunov", tmp_path)
+    config["model"]["lambda"] = 0.5       # outside the smallness regime
+    cfg = write_config(tmp_path / "loud.json", config)
+    out = subprocess.run([sys.executable, "-m", "vfplab", "lyapunov", "--config", cfg],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stderr == ("warning: smallness condition violated: "
+                          "the fixed point may not be unique\n")
 
 
 def test_misspelled_top_level_section_exits_one(tmp_path, capsys):

@@ -447,10 +447,10 @@ def test_state_and_config_validation():
     for seed in (-1, 1.5, "3", True):
         with pytest.raises(ConfigurationError):
             SimConfig(seed=seed)
+    assert type(SimConfig(seed=np.uint64(3)).seed) is int
     numpy_seed = contraction_experiment(sine_params(), SimConfig(seed=np.uint64(3)), 4,
                                         horizon=0.01, replicas=2)
     int_seed = contraction_experiment(sine_params(), SimConfig(seed=3), 4, horizon=0.01, replicas=2)
-    assert type(numpy_seed.seed) is int
     assert json.dumps(numpy_seed.to_dict()) == json.dumps(int_seed.to_dict())
     with pytest.raises(ConfigurationError):
         contraction_experiment(sine_params(), SimConfig(), 8, horizon=-1.0)
