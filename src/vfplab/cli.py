@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -28,8 +29,7 @@ from .model import ModelParams, builtin_kernel, coupling_constants, finite_float
 from .output import write_csv, write_json
 from .particles import ParticleState, SimConfig, contraction_experiment, simulate
 from .pde import GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_to_binary, \
-    grid_to_csv, run_vfp, stationary_fixed_point, vfp_step
-from .pde import x_marginal
+    grid_to_csv, run_vfp, stationary_fixed_point, vfp_step, x_marginal
 
 FISHER_SLACK = 1.1
 
@@ -105,19 +105,24 @@ def parse_model(cfg: dict) -> ModelParams:
                        kernel=builtin_kernel(section["kernel"]))
 
 
-def parse_sim(cfg: dict, seed_override: Optional[int]) -> tuple[SimConfig, int]:
-    section = dict(cfg.get("sim", {}))
+def parse_seed(cfg: dict, seed_override: Optional[int]) -> int:
+    """``--seed`` if given, else ``sim.seed`` (default 0): the only ``sim`` value it reads."""
+    section = cfg.get("sim", {})
     _require_keys(section, "sim", set(), {"dt", "integrator", "seed", "n_particles"})
-    seed = _count(section.get("seed", 0), "seed", 0) if seed_override is None else seed_override
+    return _count(section.get("seed", 0), "seed", 0) if seed_override is None else seed_override
+
+
+def parse_sim(cfg: dict, seed_override: Optional[int]) -> tuple[SimConfig, int]:
+    seed = parse_seed(cfg, seed_override)
+    section = cfg.get("sim", {})
     sim = SimConfig(dt=finite_float(section.get("dt", 1e-3), "dt"),
-                    integrator=section.get("integrator", "kinetic_splitting"),
-                    seed=seed)
+                    integrator=section.get("integrator", "kinetic_splitting"), seed=seed)
     return sim, _count(section.get("n_particles", 64), "n_particles", 2)
 
 
 def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
     """Grid geometry plus the requested dt (None means choose from the CFL budget)."""
-    section = dict(cfg.get("grid", {}))
+    section = cfg.get("grid", {})
     _require_keys(section, "grid", set(),
                   {"Lx", "Lv", "nx", "nv", "dt", "cfl_safety", "splitting"})
     geometry = {
@@ -154,7 +159,7 @@ def parse_initial(section, default_mean=(1.0, 0.0)) -> GaussianState:
 
 
 def _experiment(cfg: dict, allowed: set[str]) -> dict:
-    section = dict(cfg.get("experiment", {}))
+    section = cfg.get("experiment", {})
     _require_keys(section, "experiment", set(), allowed)
     return section
 
@@ -242,7 +247,7 @@ def _lyapunov_witness(params: ModelParams, gcfg: GridConfig, baseline: PhaseGrid
 def cmd_lyapunov(args) -> int:
     cfg = load_config(args.config)
     params = parse_model(cfg)
-    sim, _ = parse_sim(cfg, args.seed)
+    seed = parse_seed(cfg, args.seed)
     geometry, dt = parse_grid(cfg)
     exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "w2_samples",
                             "witness_search"})
@@ -260,29 +265,31 @@ def cmd_lyapunov(args) -> int:
 
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
-    snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
 
-    rows = []
-    f_values = []
+    rows, w2 = [], []
     quadratic = params.kernel.kind == "quadratic_linear"
-    for snap in snaps:
-        e_val = classical_free_energy(snap, params)
-        f_val = quadratic_free_energy(snap, params) if quadratic else float("nan")
-        if quadratic:
-            f_values.append(f_val)
-        rows.append((float(snap.t), entropy(snap), e_val, f_val,
-                     fisher_information(snap, params, np.eye(2)),
-                     fisher_information(snap, params, constants.A),
-                     w2_grid(snap, target, n=w2_samples, seed=sim.seed),
-                     snap.mass()))
+    pool = ThreadPoolExecutor(max_workers=1)   # W2 solves in order; they release the GIL
+    try:
+        snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt,
+                        on_snapshot=lambda snap: w2.append(pool.submit(
+                            w2_grid, snap, target, n=w2_samples, seed=seed)))
+        for snap, w2_solve in zip(snaps, w2):
+            e_val = classical_free_energy(snap, params)
+            f_val = quadratic_free_energy(snap, params) if quadratic else float("nan")
+            rows.append((float(snap.t), entropy(snap), e_val, f_val,
+                         fisher_information(snap, params, np.eye(2)),
+                         fisher_information(snap, params, constants.A),
+                         w2_solve.result(), snap.mass()))
+    finally:   # on a failure, drop the queued solves; always wait for the running one
+        pool.shutdown(cancel_futures=True)
     write_csv(prefix + "_lyapunov.csv",
               ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
                "w2_to_stationary", "mass"], rows)
 
-    report = _run_parameters(params, gcfg, dt=gcfg.dt, horizon=horizon, seed=sim.seed,
+    report = _run_parameters(params, gcfg, dt=gcfg.dt, horizon=horizon, seed=seed,
                              smallness=smallness_holds(params), witness=None)
     if quadratic:
-        increments = np.diff(f_values)
+        increments = np.diff([row[3] for row in rows])   # F_quadratic
         report["max_F_increase"] = float(increments.max()) if increments.size else 0.0
         report["F_monotone"] = bool(increments.size == 0 or increments.max() <= 1e-6)
     if witness_search:
@@ -344,19 +351,19 @@ def cmd_fisher(args) -> int:
 def cmd_stationary(args) -> int:
     cfg = load_config(args.config)
     params = parse_model(cfg)
-    geometry, dt = parse_grid(cfg)
-    gcfg = GridConfig(dt=dt if dt is not None else 1e-3, **geometry)
+    geometry, _ = parse_grid(cfg)
+    probe = GridConfig(dt=1.0, **geometry)   # the fixed point reads only the geometry
     exp = _experiment(cfg, {"tol", "max_iter"})
     tol = _positive(exp.get("tol", 1e-10), "tol")
     max_iter = _count(exp.get("max_iter", 10000), "max_iter", 1)
     prefix = _out_prefix(cfg, args)
-    grid = stationary_fixed_point(params, gcfg, tol=tol, max_iter=max_iter)
+    grid = stationary_fixed_point(params, probe, tol=tol, max_iter=max_iter)
     grid_to_csv(grid, prefix + "_stationary.csv")
     grid_to_binary(grid, prefix + "_stationary")
     constants = coupling_constants(params.gamma)
     xc, w = x_marginal(grid)
     write_json(prefix + "_stationary_summary.json", _run_parameters(
-        params, gcfg, mass=grid.mass(), mean_x=float(xc @ w),
+        params, probe, mass=grid.mass(), mean_x=float(xc @ w),
         fisher_A=fisher_information(grid, params, constants.A),
         smallness=smallness_holds(params)))
     return 0

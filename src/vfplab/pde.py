@@ -157,16 +157,21 @@ def _bernoulli(w: Array) -> Array:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _fp_weights(Lv: float, nv: int) -> tuple[Array, Array, float]:
-    """Interface weights B(w), B(-w) (shared; do not modify), and gamma times the largest
-    dt keeping the explicit substep positive, dv^2 / max_j (B(w_j) + B(-w_{j-1}))."""
+@functools.lru_cache(maxsize=4)
+def _weights(Lv: float, nx: int, nv: int) -> tuple[Array, Array, Array, Array, float]:
+    """Read-only flat-array coefficients: x speeds >= 0 and <= 0 of the first nx - 1 rows;
+    B(w), -B(-w) per cell but the last, 0 at row ends; and gamma times the largest dt keeping
+    the Fokker-Planck substep positive, dv^2 / max_j (B(w_j) + B(-w_{j-1}))."""
     dv = 2.0 * Lv / nv
     vc = -Lv + (np.arange(nv) + 0.5) * dv
     w = 0.5 * (vc[:-1] + vc[1:]) * dv
     bp, bm = _bernoulli(w), _bernoulli(-w)
-    bp.flags.writeable = bm.flags.writeable = False
-    return bp, bm, dv * dv / float((np.append(bp, 0.0) + np.append(0.0, bm)).max())
+    out = (np.tile(np.where(vc > 0.0, vc, 0.0), nx - 1),
+           np.tile(np.where(vc < 0.0, vc, 0.0), nx - 1),
+           np.tile(np.append(bp, 0.0), nx)[:-1], np.tile(np.append(-bm, 0.0), nx)[:-1])
+    for a in out:
+        a.flags.writeable = False
+    return (*out, dv * dv / float((np.append(bp, 0.0) + np.append(0.0, bm)).max()))
 
 
 def cfl_bound(grid: PhaseGrid, params: ModelParams, force: Optional[Array] = None) -> float:
@@ -174,27 +179,25 @@ def cfl_bound(grid: PhaseGrid, params: ModelParams, force: Optional[Array] = Non
     if force is None:
         force = mean_field_force(params, grid.x_centers, x_marginal(grid))
     speed = np.abs(force - grid.x_centers).max()
-    terms = [grid.dx / grid.Lv, _fp_weights(grid.Lv, grid.nv)[2] / params.gamma]
+    terms = [grid.dx / grid.Lv, _weights(grid.Lv, grid.nx, grid.nv)[4] / params.gamma]
     if speed > 0:
         terms.append(grid.dv / speed)
     return min(terms)
 
 
-def _upwind(left: Array, right: Array, lo: Array, hi: Array, c: float) -> None:
-    """Conservative first-order upwind update across the interfaces between the views
-    ``left`` and ``right`` (its neighbour along one axis): the flux c (lo left + hi right),
-    with lo >= 0 the forward and hi <= 0 the backward speed, leaves left and enters right."""
-    flux = c * (lo * left + hi * right)
+def _upwind(f: Array, k: int, lo: Array, hi: Array, scales: list, flux: Array, tmp: Array) -> None:
+    """Conservative upwind update of the flat array ``f`` between each cell and the one ``k``
+    on: the flux (lo left + hi right) times each of ``scales`` in turn leaves left and enters
+    right, with lo >= 0 and hi <= 0.  ``flux`` and ``tmp`` are scratch of f.size - 1 or more."""
+    left, right = f[:-k], f[k:]
+    flux, tmp = flux[:left.size], tmp[:left.size]
+    np.multiply(lo, left, out=flux)
+    np.multiply(hi, right, out=tmp)
+    flux += tmp
+    for c in scales:
+        flux *= c
     left -= flux
     right += flux
-
-
-def _fokker_planck_v(data: Array, bp: Array, bm: Array, dv: float,
-                     gamma: float, dt: float) -> None:
-    flux = (gamma / dv) * (bm[None, :] * data[:, 1:] - bp[None, :] * data[:, :-1])
-    c = dt / dv
-    data[:, :-1] += c * flux
-    data[:, 1:] -= c * flux
 
 
 def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid:
@@ -205,7 +208,7 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid
     """
     if (grid.nx, grid.nv) != (cfg.nx, cfg.nv) or (grid.Lx, grid.Lv) != (cfg.Lx, cfg.Lv):
         raise ConfigurationError("grid geometry does not match the configuration")
-    xc, vc = grid.x_centers, grid.v_centers
+    xc, nv = grid.x_centers, grid.nv
     force = mean_field_force(params, xc, x_marginal(grid))
     bound = cfg.cfl_safety * cfl_bound(grid, params, force)
     if cfg.dt > bound * (1.0 + 1e-9):
@@ -213,21 +216,23 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid
             f"dt={cfg.dt:g} violates the CFL budget {bound:g} at t={grid.t:g}")
 
     speed = force - xc
-    vp = np.where(vc > 0.0, vc, 0.0)[None, :]
-    vm = np.where(vc < 0.0, vc, 0.0)[None, :]
-    sp = np.where(speed > 0.0, speed, 0.0)[:, None]
-    sm = np.where(speed < 0.0, speed, 0.0)[:, None]
-    bp, bm, _ = _fp_weights(grid.Lv, grid.nv)
+    work = np.empty((4, grid.nx, nv))   # v speeds >= 0, <= 0, two flux buffers: one allocation
+    work[0], work[1] = (np.where(c, speed, 0.0)[:, None] for c in (speed > 0.0, speed < 0.0))
+    work[:2, :, -1] = 0.0   # no v flux across a row end of the flat array
+    sp, sm, *scratch = work.reshape(4, -1)[:, :-1]
+    vp, vm, bp, bm, _ = _weights(grid.Lv, grid.nx, nv)
 
     data = grid.data.copy()
+    f = data.reshape(-1)
     dt = cfg.dt
     h = dt if cfg.splitting == "lie" else 0.5 * dt   # Lie: Strang's first three substeps
-    _upwind(data[:-1], data[1:], vp, vm, h / grid.dx)
-    _upwind(data[:, :-1], data[:, 1:], sp, sm, h / grid.dv)
-    _fokker_planck_v(data, bp, bm, grid.dv, params.gamma, dt)
+    _upwind(f, nv, vp, vm, [h / grid.dx], *scratch)
+    _upwind(f, 1, sp, sm, [h / grid.dv], *scratch)
+    # Fokker-Planck: (gamma/dv) (B(w) f_j - B(-w) f_j+1), then dt/dv; one product rounds otherwise
+    _upwind(f, 1, bp, bm, [params.gamma / grid.dv, dt / grid.dv], *scratch)
     if cfg.splitting == "strang":
-        _upwind(data[:, :-1], data[:, 1:], sp, sm, h / grid.dv)
-        _upwind(data[:-1], data[1:], vp, vm, h / grid.dx)
+        _upwind(f, 1, sp, sm, [h / grid.dv], *scratch)
+        _upwind(f, nv, vp, vm, [h / grid.dx], *scratch)
 
     lowest = data.min()
     if lowest < -1e-13:
@@ -243,8 +248,9 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid
 
 
 def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: float,
-            sample_dt: Optional[float] = None) -> list[PhaseGrid]:
-    """Step to the horizon, returning snapshots every ``sample_dt`` (default 10 dt)."""
+            sample_dt: Optional[float] = None, on_snapshot=lambda snap: None) -> list[PhaseGrid]:
+    """Step to the horizon, returning snapshots every ``sample_dt`` (default 10 dt);
+    ``on_snapshot`` gets each one as soon as it is taken, the initial state first."""
     if not horizon > 0:
         raise ConfigurationError("horizon must be positive")
     if sample_dt is not None and not sample_dt > 0:
@@ -252,10 +258,12 @@ def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: floa
     n_steps = max(1, round(horizon / cfg.dt))
     every = max(1, round((10.0 * cfg.dt if sample_dt is None else sample_dt) / cfg.dt))
     snaps = [grid]
+    on_snapshot(grid)
     for k in range(n_steps):
         grid = vfp_step(grid, params, cfg)
         if (k + 1) % every == 0 or k + 1 == n_steps:
             snaps.append(grid)
+            on_snapshot(grid)
     return snaps
 
 

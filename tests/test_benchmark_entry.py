@@ -21,14 +21,32 @@ workloads = _load("workloads")
 worker = _load("worker")
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_worker_runs_every_tiny_workload(tmp_path, workload):
+def run_worker(tmp_path, workload, trace):
+    """One tiny repetition of ``workload`` in-process; returns its config, prefix and result."""
     prefix = str(tmp_path / "run")
     cfg, cli_seed = workloads.make_config(workload, 3, prefix, "tiny")
     config_path, spec_path = tmp_path / "config.json", tmp_path / "spec.json"
     config_path.write_text(json.dumps(cfg))
     spec_path.write_text(json.dumps({"command": workload, "config": str(config_path),
                                      "seed": cli_seed}))
-    worker.main(str(spec_path), 0.0, False, str(tmp_path / "result.json"))
-    assert json.loads((tmp_path / "result.json").read_text())["exit"] == 0
+    worker.main(str(spec_path), 0.0, trace, str(tmp_path / "result.json"))
+    return cfg, prefix, json.loads((tmp_path / "result.json").read_text())
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_worker_runs_every_tiny_workload(tmp_path, workload):
+    cfg, prefix, result = run_worker(tmp_path, workload, False)
+    assert result["exit"] == 0
     assert workloads.check(workload, cfg, prefix) == []
+
+
+def test_traced_lyapunov_records_the_w2_worker_spans(tmp_path):
+    # the W2 solves run on a worker thread: their spans are kept, one per snapshot, and
+    # only the tracing thread's spans count towards the self-time cover
+    _, prefix, result = run_worker(tmp_path, "lyapunov", True)
+    assert result["exit"] == 0
+    snapshots = len(open(prefix + "_lyapunov.csv").read().splitlines()) - 1
+    assert snapshots == 2
+    assert result["layers"]["functionals.w2_grid.calls"] == snapshots
+    assert result["layers"]["functionals.w2_grid.self_s"] > 0.0
+    assert result["layers"]["trace.self_cover_frac"] <= 1.0

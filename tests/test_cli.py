@@ -3,13 +3,15 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import vfplab.cli
 import vfplab.pde
-from vfplab import (GridConfig, ModelParams, SchemeError, builtin_kernel, cfl_bound,
-                    gaussian_grid, stationary_fixed_point)
+from vfplab import (ConfigurationError, GridConfig, ModelParams, SchemeError, builtin_kernel,
+                    cfl_bound, gaussian_grid, run_vfp, stationary_fixed_point, w2_grid)
 from vfplab.cli import main
 from vfplab.output import fmt_float, write_csv, write_json
 
@@ -197,6 +199,76 @@ def test_fisher_report_records_the_auto_dt_of_the_fixed_point(tmp_path, b, lam):
     with pytest.warns(UserWarning, match="smallness"):   # library callers keep Python's warning
         target = stationary_fixed_point(params, probe)
     assert_run_parameters(report, dt=0.9 * 0.5 * cfl_bound(target, params), horizon=0.05)
+
+
+def test_lyapunov_w2_column_equals_direct_solves(tmp_path):
+    # the solves run on a worker thread; each row still gets its own snapshot's distance
+    config = small_config("lyapunov", tmp_path)
+    config["experiment"].update(horizon=0.2, sample_dt=0.04)
+    assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 0
+    lines = (tmp_path / "run_lyapunov.csv").read_text().splitlines()
+    column = lines[0].split(",").index("w2_to_stationary")
+    got = [float(line.split(",")[column]) for line in lines[1:]]
+    cfg = GridConfig(Lx=6.0, Lv=6.0, nx=16, nv=16, dt=0.004)
+    params = ModelParams(gamma=1.0, lam=0.0625, kernel=builtin_kernel(config["model"]["kernel"]))
+    target = stationary_fixed_point(params, cfg)
+    snaps = run_vfp(gaussian_grid(cfg, [1.0, 0.0], np.eye(2)), params, cfg, 0.2, sample_dt=0.04)
+    assert len(got) == len(snaps) == 6
+    assert got == [w2_grid(snap, target, n=64, seed=0) for snap in snaps]
+
+
+def test_lyapunov_step_failure_exits_two_and_leaves_no_worker(tmp_path, monkeypatch):
+    real_step, steps = vfplab.pde.vfp_step, []
+
+    def failing_step(grid, params, cfg):
+        steps.append(grid.t)
+        if len(steps) > 3:
+            raise SchemeError(f"negative cell beyond clamp tolerance at t={grid.t:g}")
+        return real_step(grid, params, cfg)
+
+    monkeypatch.setattr(vfplab.pde, "vfp_step", failing_step)
+    config = small_config("lyapunov", tmp_path)
+    config["experiment"].update(horizon=0.2, sample_dt=0.004)   # a W2 solve queued per step
+    threads = threading.active_count()
+    assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 2
+    assert not (tmp_path / "run_lyapunov.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_lyapunov_w2_failure_keeps_its_exit_code(tmp_path, monkeypatch):
+    def failing_w2(*args, **kwargs):
+        raise ConfigurationError("w2 solve rejected")
+
+    monkeypatch.setattr(vfplab.cli, "w2_grid", failing_w2)
+    config = small_config("lyapunov", tmp_path)
+    threads = threading.active_count()
+    assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 1
+    assert not (tmp_path / "run_lyapunov.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_lyapunov_reads_only_the_seed_of_sim(tmp_path, capsys):
+    config = small_config("lyapunov", tmp_path)
+    assert main(["lyapunov", "--config", write_config(tmp_path / "a.json", config)]) == 0
+    plain = [(tmp_path / f"run_lyapunov.{ext}").read_bytes() for ext in ("csv", "json")]
+    config["sim"] = {"dt": -5, "integrator": "leapfrog", "n_particles": 1}
+    assert main(["lyapunov", "--config", write_config(tmp_path / "b.json", config)]) == 0
+    assert [(tmp_path / f"run_lyapunov.{ext}").read_bytes() for ext in ("csv", "json")] == plain
+    config["sim"]["seed"] = 2.5
+    assert main(["lyapunov", "--config", write_config(tmp_path / "c.json", config)]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
+def test_stationary_ignores_the_grid_dt(tmp_path):
+    config = small_config("stationary", tmp_path)
+    files = ["run_stationary.csv", "run_stationary.bin", "run_stationary.json",
+             "run_stationary_summary.json"]
+    del config["grid"]["dt"]
+    assert main(["stationary", "--config", write_config(tmp_path / "a.json", config)]) == 0
+    plain = [(tmp_path / name).read_bytes() for name in files]
+    config["grid"]["dt"] = -1
+    assert main(["stationary", "--config", write_config(tmp_path / "b.json", config)]) == 0
+    assert [(tmp_path / name).read_bytes() for name in files] == plain
 
 
 def test_lyapunov_witness_search(tmp_path):
@@ -425,6 +497,18 @@ def test_library_warnings_print_as_one_cli_line(tmp_path):
     assert out.returncode == 0
     assert out.stderr == ("warning: smallness condition violated: "
                           "the fixed point may not be unique\n")
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("contraction", "sim", 5), ("lyapunov", "sim", [1]), ("stationary", "grid", 5),
+    ("fisher", "grid", None), ("stationary", "experiment", [["tol", 1e-10]]),
+])
+def test_sections_that_are_not_objects_exit_one(tmp_path, capsys, command, section, value):
+    config = small_config(command, tmp_path)
+    config[section] = value
+    assert main([command, "--config", write_config(tmp_path / "bad.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert f"config section '{section}' must be an object" in err and "Traceback" not in err
 
 
 def test_misspelled_top_level_section_exits_one(tmp_path, capsys):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from vfplab import (ConfigurationError, GaussianState, GridConfig, ModelParams,
                     NonConvergenceError, PhaseGrid, SchemeError, builtin_kernel,
                     cfl_bound, gaussian_grid, grid_from_density, grid_to_binary,
-                    grid_to_csv, l1_distance, local_equilibrium, moment_flow,
-                    run_vfp, stationary_fixed_point, vfp_step, x_marginal)
-from vfplab.pde import _bernoulli, _fokker_planck_v
+                    grid_to_csv, l1_distance, local_equilibrium, mean_field_force,
+                    moment_flow, run_vfp, stationary_fixed_point, vfp_step, x_marginal)
+from vfplab.pde import _bernoulli, _upwind
 
 SINE_BOUNDARY = ModelParams(gamma=1.0, lam=0.125,
                             kernel=builtin_kernel({"type": "sine", "amplitude": 1.0}))
@@ -150,6 +150,80 @@ def test_one_step_keeps_positivity_and_mass(kernel, gamma, lam, splitting, cfl_s
     assert abs(new.mass() - grid.mass()) <= 1e-12
 
 
+def strided_step(grid, params, cfg):
+    """The step as written before the sweeps ran on the flat array: the v sweeps on strided
+    (nx, nv - 1) views, fresh temporaries, the Fokker-Planck substep in its own form.  It is
+    the bit-for-bit reference of ``vfp_step``; returns the new data and whether it clamped."""
+    def upwind(left, right, lo, hi, c):
+        flux = c * (lo * left + hi * right)
+        left -= flux
+        right += flux
+
+    xc, vc, dx, dv = grid.x_centers, grid.v_centers, grid.dx, grid.dv
+    speed = mean_field_force(params, xc, x_marginal(grid)) - xc
+    vp, vm = np.where(vc > 0.0, vc, 0.0)[None, :], np.where(vc < 0.0, vc, 0.0)[None, :]
+    sp, sm = np.where(speed > 0.0, speed, 0.0)[:, None], np.where(speed < 0.0, speed, 0.0)[:, None]
+    w = 0.5 * (vc[:-1] + vc[1:]) * dv
+    bp, bm = _bernoulli(w), _bernoulli(-w)
+    data = grid.data.copy()
+    h = cfg.dt if cfg.splitting == "lie" else 0.5 * cfg.dt
+    upwind(data[:-1], data[1:], vp, vm, h / dx)
+    upwind(data[:, :-1], data[:, 1:], sp, sm, h / dv)
+    flux = (params.gamma / dv) * (bm[None, :] * data[:, 1:] - bp[None, :] * data[:, :-1])
+    c = cfg.dt / dv
+    data[:, :-1] += c * flux
+    data[:, 1:] -= c * flux
+    if cfg.splitting == "strang":
+        upwind(data[:, :-1], data[:, 1:], sp, sm, h / dv)
+        upwind(data[:-1], data[1:], vp, vm, h / dx)
+    clamped = bool(data.min() < 0.0)
+    if clamped:
+        np.clip(data, 0.0, None, out=data)
+        data /= data.sum() * dx * dv
+    return data, clamped
+
+
+def unit_mass_grid(data, lx, lv):
+    nx, nv = data.shape
+    return PhaseGrid(Lx=lx, Lv=lv, nx=nx, nv=nv,
+                     data=data / (data.sum() * (2.0 * lx / nx) * (2.0 * lv / nv)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel=STEP_KERNELS, gamma=st.floats(0.05, 5.0, **_FLOATS),
+       lam=st.floats(0.0, 2.0, **_FLOATS), splitting=st.sampled_from(["lie", "strang"]),
+       cfl_safety=_UNIT_INTERVAL, dt_fraction=_UNIT_INTERVAL,
+       box=st.tuples(st.floats(1.0, 8.0, **_FLOATS), st.floats(1.0, 8.0, **_FLOATS)),
+       cells=st.tuples(st.integers(4, 24), st.integers(4, 24)).filter(lambda c: c[0] != c[1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_sweeps_match_the_strided_step_bit_for_bit(kernel, gamma, lam, splitting,
+                                                        cfl_safety, dt_fraction, box, cells,
+                                                        seed):
+    # nx != nv, so a flux that leaked across a row end of the flat array would show
+    (lx, lv), (nx, nv) = box, cells
+    params = ModelParams(gamma=gamma, lam=lam, kernel=builtin_kernel(kernel))
+    grid = unit_mass_grid(np.random.default_rng(seed).random((nx, nv)) + 1e-3, lx, lv)
+    geometry = dict(Lx=lx, Lv=lv, nx=nx, nv=nv, cfl_safety=cfl_safety, splitting=splitting)
+    dt = dt_fraction * cfl_safety * cfl_bound(grid, params)
+    assume(dt > 0.0)
+    cfg = GridConfig(dt=dt, **geometry)
+    expected, _ = strided_step(grid, params, cfg)
+    assert vfp_step(grid, params, cfg).data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("splitting, seed", [("lie", 21), ("strang", 221)])
+def test_flat_sweeps_match_the_strided_step_through_the_clamp(splitting, seed):
+    # half the cells empty, dt at the full CFL budget: a cell ends at -1e-17 and is clamped
+    rng = np.random.default_rng(seed)
+    grid = unit_mass_grid(rng.random((9, 10)) * (rng.random((9, 10)) < 0.5), 2.0, 2.0)
+    params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
+    cfg = GridConfig(Lx=2.0, Lv=2.0, nx=9, nv=10, cfl_safety=1.0, splitting=splitting,
+                     dt=cfl_bound(grid, params))
+    expected, clamped = strided_step(grid, params, cfg)
+    assert clamped
+    assert vfp_step(grid, params, cfg).data.tobytes() == expected.tobytes()
+
+
 def test_lie_splitting_also_conserves():
     cfg = default_grid_config(nx=64, nv=64, dt=2e-3, splitting="lie")
     grid = gaussian_grid(cfg, [0.5, 0.0], np.eye(2))
@@ -191,9 +265,9 @@ def test_fokker_planck_substep_keeps_a_wall_spike_nonnegative():
     bp, bm = _bernoulli(w), _bernoulli(-w)
 
     def after_one_substep(dt):
-        data = np.zeros((1, 128))
-        data[0, -2] = 1.0
-        _fokker_planck_v(data, bp, bm, grid.dv, params.gamma, dt)
+        data = np.zeros(128)
+        data[-2] = 1.0
+        _upwind(data, 1, bp, -bm, [params.gamma / grid.dv, dt / grid.dv], *np.empty((2, 127)))
         return data
 
     assert after_one_substep(grid.dv * grid.dv / 2.0).min() < -0.07
@@ -228,11 +302,11 @@ def test_velocity_operator_annihilates_the_maxwellian():
     nv, Lv = 96, 8.0
     dv = 2.0 * Lv / nv
     vc = -Lv + (np.arange(nv) + 0.5) * dv
-    data = np.exp(-vc ** 2 / 2.0)[None, :].copy()
+    data = np.exp(-vc ** 2 / 2.0)
     v_edges = 0.5 * (vc[:-1] + vc[1:])
     w = v_edges * dv
     before = data.copy()
-    _fokker_planck_v(data, _bernoulli(w), _bernoulli(-w), dv, gamma=1.0, dt=1e-2)
+    _upwind(data, 1, _bernoulli(w), -_bernoulli(-w), [1.0 / dv, 1e-2 / dv], *np.empty((2, nv - 1)))
     assert np.abs(data - before).max() < 1e-15 * before.max()
 
 
