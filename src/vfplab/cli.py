@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -254,9 +253,11 @@ def cmd_lyapunov(args) -> int:
     horizon = _positive(exp.get("horizon", 5.0), "horizon")
     sample_dt = _positive(exp.get("sample_dt", 0.25), "sample_dt")
     witness_search = _flag(exp.get("witness_search", not params.kernel.is_even), "witness_search")
-    w2_samples = _count(exp.get("w2_samples", 2048), "w2_samples", 1)
-    if w2_samples > MAX_ASSIGNMENT:
-        raise ConfigurationError(f"w2_samples must be at most {MAX_ASSIGNMENT}, got {w2_samples}")
+    if "w2_samples" in exp:   # deprecated: still checked, then ignored with a warning
+        if _count(exp["w2_samples"], "w2_samples", 1) > MAX_ASSIGNMENT:
+            raise ConfigurationError(
+                f"w2_samples must be at most {MAX_ASSIGNMENT}, got {exp['w2_samples']!r}")
+        print("warning: w2_samples is ignored: w2_grid is deterministic", file=sys.stderr)
     prefix = _out_prefix(cfg, args)
     initial_g = parse_initial(exp.get("initial"))
     probe = GridConfig(dt=1.0, **geometry)
@@ -266,22 +267,12 @@ def cmd_lyapunov(args) -> int:
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
 
-    rows, w2 = [], []
     quadratic = params.kernel.kind == "quadratic_linear"
-    pool = ThreadPoolExecutor(max_workers=1)   # W2 solves in order; they release the GIL
-    try:
-        snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt,
-                        on_snapshot=lambda snap: w2.append(pool.submit(
-                            w2_grid, snap, target, n=w2_samples, seed=seed)))
-        for snap, w2_solve in zip(snaps, w2):
-            e_val = classical_free_energy(snap, params)
-            f_val = quadratic_free_energy(snap, params) if quadratic else float("nan")
-            rows.append((float(snap.t), entropy(snap), e_val, f_val,
-                         fisher_information(snap, params, np.eye(2)),
-                         fisher_information(snap, params, constants.A),
-                         w2_solve.result(), snap.mass()))
-    finally:   # on a failure, drop the queued solves; always wait for the running one
-        pool.shutdown(cancel_futures=True)
+    rows = [(float(snap.t), entropy(snap), classical_free_energy(snap, params),
+             quadratic_free_energy(snap, params) if quadratic else float("nan"),
+             fisher_information(snap, params, np.eye(2)),
+             fisher_information(snap, params, constants.A), w2_grid(snap, target), snap.mass())
+            for snap in run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)]
     write_csv(prefix + "_lyapunov.csv",
               ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
                "w2_to_stationary", "mass"], rows)
@@ -432,30 +423,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "contraction, free-energy decay, twisted Fisher information, "
                     "steady states, Gaussian oracles, and raw simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "contraction": cmd_contraction,
-        "lyapunov": cmd_lyapunov,
-        "fisher": cmd_fisher,
-        "stationary": cmd_stationary,
-        "oracle": cmd_oracle,
-        "simulate": cmd_simulate,
-    }
-    for name, handler in handlers.items():
+    for name in ("contraction", "lyapunov", "fisher", "stationary", "oracle", "simulate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output file prefix")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.set_defaults(func=handler)
     return parser
 
 
+PARSER = build_parser()   # built once at import, so a first call pays no argparse set-up
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         with warnings.catch_warnings():
             # library warnings get the CLI's one-line format, not a source location
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            return args.func(args)
+            # by name at call time, so a wrapper or patch set on this module sees the call
+            return globals()["cmd_" + args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

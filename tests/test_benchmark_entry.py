@@ -41,8 +41,8 @@ def test_worker_runs_every_tiny_workload(tmp_path, workload):
 
 
 def test_traced_lyapunov_records_the_w2_worker_spans(tmp_path):
-    # the W2 solves run on a worker thread: their spans are kept, one per snapshot, and
-    # only the tracing thread's spans count towards the self-time cover
+    # the W2 solves run inline on the tracing thread, one span per snapshot, and the
+    # self-time cover counts each span's time once
     _, prefix, result = run_worker(tmp_path, "lyapunov", True)
     assert result["exit"] == 0
     snapshots = len(open(prefix + "_lyapunov.csv").read().splitlines()) - 1

@@ -84,8 +84,7 @@ def small_config(command, tmp_path):
         return {"model": quadratic, "experiment": {"times": [0.0], "n_values": [2]},
                 "output": out}
     experiment = {
-        "lyapunov": {"horizon": 0.1, "sample_dt": 0.1, "w2_samples": 64,
-                     "witness_search": False},
+        "lyapunov": {"horizon": 0.1, "sample_dt": 0.1, "witness_search": False},
         "fisher": {"horizon": 0.1, "sample_dt": 0.1, "stationary_start": False},
         "stationary": {"tol": 1e-10},
     }[command]
@@ -202,7 +201,7 @@ def test_fisher_report_records_the_auto_dt_of_the_fixed_point(tmp_path, b, lam):
 
 
 def test_lyapunov_w2_column_equals_direct_solves(tmp_path):
-    # the solves run on a worker thread; each row still gets its own snapshot's distance
+    # each row gets its own snapshot's distance, computed inline as the snapshots arrive
     config = small_config("lyapunov", tmp_path)
     config["experiment"].update(horizon=0.2, sample_dt=0.04)
     assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 0
@@ -214,7 +213,7 @@ def test_lyapunov_w2_column_equals_direct_solves(tmp_path):
     target = stationary_fixed_point(params, cfg)
     snaps = run_vfp(gaussian_grid(cfg, [1.0, 0.0], np.eye(2)), params, cfg, 0.2, sample_dt=0.04)
     assert len(got) == len(snaps) == 6
-    assert got == [w2_grid(snap, target, n=64, seed=0) for snap in snaps]
+    assert got == [w2_grid(snap, target) for snap in snaps]
 
 
 def test_lyapunov_step_failure_exits_two_and_leaves_no_worker(tmp_path, monkeypatch):
@@ -228,7 +227,7 @@ def test_lyapunov_step_failure_exits_two_and_leaves_no_worker(tmp_path, monkeypa
 
     monkeypatch.setattr(vfplab.pde, "vfp_step", failing_step)
     config = small_config("lyapunov", tmp_path)
-    config["experiment"].update(horizon=0.2, sample_dt=0.004)   # a W2 solve queued per step
+    config["experiment"].update(horizon=0.2, sample_dt=0.004)   # a W2 solve per step
     threads = threading.active_count()
     assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 2
     assert not (tmp_path / "run_lyapunov.csv").exists()
@@ -257,6 +256,34 @@ def test_lyapunov_reads_only_the_seed_of_sim(tmp_path, capsys):
     config["sim"]["seed"] = 2.5
     assert main(["lyapunov", "--config", write_config(tmp_path / "c.json", config)]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+def test_lyapunov_w2_samples_and_seed_change_no_output(tmp_path, capsys):
+    # w2_samples is deprecated: still checked, then ignored with one warning line
+    config = small_config("lyapunov", tmp_path)
+    assert main(["lyapunov", "--config", write_config(tmp_path / "a.json", config)]) == 0
+    plain = [(tmp_path / f"run_lyapunov.{ext}").read_bytes() for ext in ("csv", "json")]
+    assert capsys.readouterr().err == ""
+    config["experiment"]["w2_samples"] = 64
+    assert main(["lyapunov", "--config", write_config(tmp_path / "b.json", config)]) == 0
+    assert [(tmp_path / f"run_lyapunov.{ext}").read_bytes() for ext in ("csv", "json")] == plain
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: w2_samples is ignored")
+    # the seed is only echoed in the report
+    assert main(["lyapunov", "--config", str(tmp_path / "a.json"), "--seed", "7"]) == 0
+    assert (tmp_path / "run_lyapunov.csv").read_bytes() == plain[0]
+    assert json.loads((tmp_path / "run_lyapunov.json").read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("command", ["contraction", "lyapunov", "fisher", "stationary",
+                                     "oracle", "simulate"])
+def test_no_subcommand_loads_scipy(tmp_path, command):
+    cfg = write_config(tmp_path / "ok.json", small_config(command, tmp_path))
+    code = ("import sys, vfplab.cli; code = vfplab.cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, command, "--config", cfg],
+                         capture_output=True, text=True)
+    assert out.stdout == "0 []\n", out.stderr
 
 
 def test_stationary_ignores_the_grid_dt(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vfplab import (GaussianState, GridConfig, ModelParams, builtin_kernel, bures_w2,
                     classical_free_energy, coupling_constants, entropy,
@@ -223,7 +225,58 @@ def test_sample_from_grid_statistics_and_determinism():
 
 
 def test_w2_grid_levels():
+    # deterministic: no samples, so the distance to itself is 0 up to the solver's tolerance
     g = gaussian_grid(CFG, [0.0, 0.0], np.eye(2))
-    assert w2_grid(g, g, n=2048, seed=0) < 0.2
+    assert w2_grid(g, g) <= 1e-4
     far = gaussian_grid(CFG, [2.0, 0.0], np.eye(2))
-    assert abs(w2_grid(g, far, n=512, seed=0) - 2.0) < 5.0 * 512 ** -0.25
+    assert abs(w2_grid(g, far) - 2.0) < 1e-6
+
+
+def test_w2_grid_matches_bures_on_gaussian_grids():
+    cfg = GridConfig(Lx=6.0, Lv=6.0, nx=128, nv=128, dt=1e-3)
+    rng = np.random.default_rng(18)
+    for _ in range(6):
+        pair = []
+        for _ in range(2):
+            rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            cov = rot @ np.diag(rng.uniform(0.5, 2.0, size=2)) @ rot.T
+            mean = rng.uniform(-1.0, 1.0, size=2)
+            pair.append((gaussian_grid(cfg, mean, cov), GaussianState(mean=mean, cov=cov)))
+        (f, gf), (g, gg) = pair
+        assert abs(w2_grid(f, g) - bures_w2(gf, gg)) <= 5e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(Lx=st.floats(1.0, 40.0), Lv=st.floats(1.0, 40.0), nx=st.integers(4, 48),
+       nv=st.integers(4, 48), shape=st.lists(st.floats(-0.5, 0.5), min_size=10, max_size=10))
+@example(Lx=30.0, Lv=30.0, nx=64, nv=64, shape=[0.0] * 5 + [1.0 / 15.0, 0.0, 0.0, 0.0, 0.0])
+def test_w2_grid_is_a_finite_symmetric_divergence(Lx, Lv, nx, nv, shape):
+    # ``shape`` places two Gaussians: means within the middle half of the box, standard
+    # deviations of 1/4 to 4 units or cells, whichever is larger, correlations within 0.8.
+    # The example is N(0, I) against N((2, 0), I) on a box where e = 0.5 would underflow.
+    cfg = GridConfig(Lx=Lx, Lv=Lv, nx=nx, nv=nv, dt=1e-3)
+    grids = []
+    for mx, mv, sx, sv, rho in (shape[:5], shape[5:]):
+        sx = 4.0 ** (2.0 * sx) * max(1.0, 2.0 * Lx / nx)
+        sv = 4.0 ** (2.0 * sv) * max(1.0, 2.0 * Lv / nv)
+        cov = [[sx * sx, 1.6 * rho * sx * sv], [1.6 * rho * sx * sv, sv * sv]]
+        grids.append(gaussian_grid(cfg, [mx * Lx, mv * Lv], cov))
+    f, g = grids
+    w = w2_grid(f, g)
+    assert np.isfinite(w) and w >= 0.0
+    assert abs(w - w2_grid(g, f)) <= 1e-6 * (1.0 + w)
+    assert w2_grid(f, f) <= 1e-4
+
+
+@pytest.mark.parametrize("distance", [l1_distance, relative_entropy, w2_grid])
+def test_grid_distances_reject_grids_on_different_boxes(distance):
+    # equal shapes are not enough: cell (i, j) sits elsewhere on another box
+    g = gaussian_grid(CFG, [0.0, 0.0], np.eye(2))
+    for box in ({"Lx": 6.0}, {"Lv": 6.0}):
+        other = gaussian_grid(GridConfig(**{"Lx": 8.0, "Lv": 8.0, **box}, nx=128, nv=128,
+                                         dt=1e-3), [0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="geometry"):
+            distance(g, other)
+    with pytest.raises(ValueError, match="geometry"):
+        distance(g, gaussian_grid(GridConfig(Lx=8.0, Lv=8.0, nx=64, nv=256, dt=1e-3),
+                                  [0.0, 0.0], np.eye(2)))
