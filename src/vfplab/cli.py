@@ -31,6 +31,7 @@ from .pde import GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_to_binary
     grid_to_csv, run_vfp, stationary_fixed_point, vfp_step, x_marginal
 
 FISHER_SLACK = 1.1
+MEMORY_BUDGET = 2 ** 31   # 2 GiB of grids: snapshots kept, the state, its copy, a step's work
 
 __all__ = ["main"]
 
@@ -76,6 +77,11 @@ def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigurationError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def _check_memory(geometry: dict, snapshots: int = 0) -> None:
+    if 8 * geometry["nx"] * geometry["nv"] * (snapshots + 6) > MEMORY_BUDGET:
+        raise ConfigurationError(f"grids exceed the memory budget of {MEMORY_BUDGET} bytes")
 
 
 def load_config(path: str) -> dict:
@@ -132,17 +138,20 @@ def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
         "cfl_safety": finite_float(section.get("cfl_safety", 0.5), "cfl_safety"),
         "splitting": section.get("splitting", "strang"),
     }
+    _check_memory(geometry)
     dt = section.get("dt", "auto")
     if dt == "auto":
         return geometry, None
     return geometry, finite_float(dt, "dt")
 
 
-def _grid_config(geometry: dict, dt: Optional[float], params: ModelParams,
-                 initial: PhaseGrid) -> GridConfig:
+def _grid_config(geometry: dict, dt: Optional[float], params: ModelParams, initial: PhaseGrid,
+                 horizon: float, sample_dt: float) -> GridConfig:
     if dt is None:
         dt = 0.9 * geometry["cfl_safety"] * cfl_bound(initial, params)
-    return GridConfig(dt=dt, **geometry)
+    gcfg = GridConfig(dt=dt, **geometry)   # run_vfp keeps 1 + ceil(steps / every) snapshots
+    _check_memory(geometry, 1 - (-max(1, round(horizon / dt)) // max(1, round(sample_dt / dt))))
+    return gcfg
 
 
 def parse_initial(section, default_mean=(1.0, 0.0)) -> GaussianState:
@@ -217,8 +226,7 @@ def cmd_contraction(args) -> int:
 def _probe_slope(grid: PhaseGrid, params: ModelParams, gcfg: GridConfig,
                  n_probe_steps: int) -> float:
     e0 = classical_free_energy(grid, params)
-    for _ in range(n_probe_steps):
-        grid = vfp_step(grid, params, gcfg)
+    grid = vfp_step(grid, params, gcfg, n_probe_steps)
     return (classical_free_energy(grid, params) - e0) / (n_probe_steps * gcfg.dt)
 
 
@@ -262,7 +270,7 @@ def cmd_lyapunov(args) -> int:
     initial_g = parse_initial(exp.get("initial"))
     probe = GridConfig(dt=1.0, **geometry)
     grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-    gcfg = _grid_config(geometry, dt, params, grid0)
+    gcfg = _grid_config(geometry, dt, params, grid0, horizon, sample_dt)
 
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
@@ -309,7 +317,7 @@ def cmd_fisher(args) -> int:
     else:
         initial_g = parse_initial(exp.get("initial"))
         grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-    gcfg = _grid_config(geometry, dt, params, grid0)
+    gcfg = _grid_config(geometry, dt, params, grid0, horizon, sample_dt)
 
     snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
 

@@ -2,10 +2,10 @@
 
 d_t f + v d_x f + (F_f(x) - x) d_v f = gamma d_v(v f + d_v f),
 F_f(x) = -lam * int dK/dx(x - y) f(y, w) dy dw,
-on [-Lx, Lx] x [-Lv, Lv] with zero-flux walls.  Transport and force advection
-use first-order conservative upwinding; the velocity Fokker-Planck operator
-uses exponentially fitted interface weights that annihilate the grid
-Maxwellian exactly.  The mean-field force is frozen at the start of each step.
+on [-Lx, Lx] x [-Lv, Lv] with zero-flux walls.  Transport and force advection use
+first-order conservative upwinding; the velocity Fokker-Planck operator uses exponentially
+fitted interface weights that annihilate the grid Maxwellian exactly.  The mean-field force
+is frozen at the start of each step, not of each ``vfp_step`` call, which may take many.
 """
 
 from __future__ import annotations
@@ -81,13 +81,7 @@ class PhaseGrid:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != (self.nx, self.nv):
             raise ValueError(f"data must have shape ({self.nx}, {self.nv})")
-        if not np.isfinite(self.data).all():
-            raise SchemeError(f"non-finite grid density at t={self.t:g}")
-        if self.data.min() < 0.0:
-            raise SchemeError(f"negative grid density at t={self.t:g}")
-        m = self.mass()
-        if abs(m - 1.0) > 1e-10:
-            raise ValueError(f"grid mass must be 1 within 1e-10, got {m!r}")
+        _check_density(self.data, self.dx, self.dv, self.t, self.data.min())
 
     @property
     def dx(self) -> float:
@@ -110,6 +104,17 @@ class PhaseGrid:
 
     def cell_area(self) -> float:
         return self.dx * self.dv
+
+
+def _check_density(data: Array, dx: float, dv: float, t: float, lowest: float) -> None:
+    """PhaseGrid's density check: finite, >= 0 (``lowest`` is the min), unit mass within 1e-10."""
+    mass = float(data.sum() * dx * dv)
+    if not (lowest >= 0.0 and abs(mass - 1.0) <= 1e-10):
+        if not np.isfinite(data).all():
+            raise SchemeError(f"non-finite grid density at t={t:g}")
+        if lowest < 0.0:
+            raise SchemeError(f"negative grid density at t={t:g}")
+        raise ValueError(f"grid mass must be 1 within 1e-10, got {mass!r}")
 
 
 def grid_from_density(cfg: GridConfig, density, t: float = 0.0) -> PhaseGrid:
@@ -174,15 +179,16 @@ def _weights(Lv: float, nx: int, nv: int) -> tuple[Array, Array, Array, Array, f
     return (*out, dv * dv / float((np.append(bp, 0.0) + np.append(0.0, bm)).max()))
 
 
-def cfl_bound(grid: PhaseGrid, params: ModelParams, force: Optional[Array] = None) -> float:
-    """Largest stable dt (before the safety factor) for the current state."""
-    if force is None:
-        force = mean_field_force(params, grid.x_centers, x_marginal(grid))
-    speed = np.abs(force - grid.x_centers).max()
-    terms = [grid.dx / grid.Lv, _weights(grid.Lv, grid.nx, grid.nv)[4] / params.gamma]
-    if speed > 0:
-        terms.append(grid.dv / speed)
-    return min(terms)
+def _fixed_cfl(grid: PhaseGrid, params: ModelParams) -> float:
+    """The state-independent CFL terms: x transport at |v| <= Lv, the Fokker-Planck substep."""
+    return min(grid.dx / grid.Lv, _weights(grid.Lv, grid.nx, grid.nv)[4] / params.gamma)
+
+
+def cfl_bound(grid: PhaseGrid, params: ModelParams) -> float:
+    """Largest stable dt (before the safety factor) for the current state; nan for a nan force."""
+    force = mean_field_force(params, grid.x_centers, x_marginal(grid))
+    speed, fixed = np.abs(force - grid.x_centers).max(), _fixed_cfl(grid, params)
+    return fixed if speed == 0 else min(grid.dv / speed, fixed)
 
 
 def _upwind(f: Array, k: int, lo: Array, hi: Array, scales: list, flux: Array, tmp: Array) -> None:
@@ -200,57 +206,59 @@ def _upwind(f: Array, k: int, lo: Array, hi: Array, scales: list, flux: Array, t
     right += flux
 
 
-def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig) -> PhaseGrid:
-    """Advance the density by one step of the configured splitting.
+def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig,
+             n_steps: int = 1) -> PhaseGrid:
+    """Advance the density by ``n_steps`` steps of the configured splitting, in place on one
+    copy of ``grid.data``, with the force frozen at the start of each step.
 
-    Raises a configuration error when dt exceeds the CFL budget for the
-    frozen force, and a scheme error if positivity degrades beyond clamping.
-    """
+    Raises a configuration error when dt exceeds the CFL budget for the frozen force (a nan
+    force included), and a scheme error if positivity degrades beyond clamping; an error's
+    ``t`` is that of the failing step."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ConfigurationError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if (grid.nx, grid.nv) != (cfg.nx, cfg.nv) or (grid.Lx, grid.Lv) != (cfg.Lx, cfg.Lv):
         raise ConfigurationError("grid geometry does not match the configuration")
-    xc, nv = grid.x_centers, grid.nv
-    force = mean_field_force(params, xc, x_marginal(grid))
-    bound = cfg.cfl_safety * cfl_bound(grid, params, force)
-    if cfg.dt > bound * (1.0 + 1e-9):
-        raise ConfigurationError(
-            f"dt={cfg.dt:g} violates the CFL budget {bound:g} at t={grid.t:g}")
-
-    speed = force - xc
+    xc, dx, dv, nv = grid.x_centers, grid.dx, grid.dv, grid.nv
+    vp, vm, bp, bm, _ = _weights(grid.Lv, grid.nx, nv)
+    fixed, dt = _fixed_cfl(grid, params), cfg.dt
+    h = dt if cfg.splitting == "lie" else 0.5 * dt   # Lie: Strang's first three substeps
     work = np.empty((4, grid.nx, nv))   # v speeds >= 0, <= 0, two flux buffers: one allocation
-    work[0], work[1] = (np.where(c, speed, 0.0)[:, None] for c in (speed > 0.0, speed < 0.0))
     work[:2, :, -1] = 0.0   # no v flux across a row end of the flat array
     sp, sm, *scratch = work.reshape(4, -1)[:, :-1]
-    vp, vm, bp, bm, _ = _weights(grid.Lv, grid.nx, nv)
-
-    data = grid.data.copy()
-    f = data.reshape(-1)
-    dt = cfg.dt
-    h = dt if cfg.splitting == "lie" else 0.5 * dt   # Lie: Strang's first three substeps
-    _upwind(f, nv, vp, vm, [h / grid.dx], *scratch)
-    _upwind(f, 1, sp, sm, [h / grid.dv], *scratch)
     # Fokker-Planck: (gamma/dv) (B(w) f_j - B(-w) f_j+1), then dt/dv; one product rounds otherwise
-    _upwind(f, 1, bp, bm, [params.gamma / grid.dv, dt / grid.dv], *scratch)
-    if cfg.splitting == "strang":
-        _upwind(f, 1, sp, sm, [h / grid.dv], *scratch)
-        _upwind(f, nv, vp, vm, [h / grid.dx], *scratch)
-
-    lowest = data.min()
-    if lowest < -1e-13:
-        raise SchemeError(f"negative cell {lowest:g} beyond clamp tolerance at t={grid.t:g}")
-    if lowest < 0.0:
-        np.clip(data, 0.0, None, out=data)
-        total = data.sum() * grid.dx * grid.dv
-        if abs(total - 1.0) > 1e-12:
-            raise SchemeError(f"clamping changed the mass by {total - 1.0:g}")
-        data /= total
-    return PhaseGrid(Lx=grid.Lx, Lv=grid.Lv, nx=grid.nx, nv=grid.nv,
-                     data=data, t=grid.t + dt)
+    sweeps = [(nv, vp, vm, [h / dx]), (1, sp, sm, [h / dv]),
+              (1, bp, bm, [params.gamma / dv, dt / dv])]
+    sweeps += sweeps[1::-1] if cfg.splitting == "strang" else []   # then v and x again
+    data = grid.data.copy()
+    f, t = data.reshape(-1), grid.t
+    for step in range(n_steps):
+        speed = mean_field_force(params, xc, (xc, data.sum(axis=1) * dx * dv)) - xc
+        top = np.abs(speed).max()
+        bound = cfg.cfl_safety * (fixed if top == 0 else min(dv / top, fixed))
+        if not dt <= bound * (1.0 + 1e-9):   # a nan force leaves a nan budget
+            raise ConfigurationError(f"dt={dt:g} violates the CFL budget {bound:g} at t={t:g}")
+        work[:2, :, :-1] = np.where([speed > 0.0, speed < 0.0], speed, 0.0)[:, :, None]
+        for sweep in sweeps:
+            _upwind(f, *sweep, *scratch)
+        lowest = data.min()
+        if lowest < -1e-13:
+            raise SchemeError(f"negative cell {lowest:g} beyond clamp tolerance at t={t:g}")
+        if lowest < 0.0:
+            np.clip(data, 0.0, None, out=data)
+            total = data.sum() * dx * dv
+            if abs(total - 1.0) > 1e-12:
+                raise SchemeError(f"clamping changed the mass by {total - 1.0:g}")
+            data /= total
+        t = t + dt
+        if step + 1 < n_steps:   # PhaseGrid's check; the returned grid checks the last step
+            _check_density(data, dx, dv, t, max(lowest, 0.0))   # clamped: 0; nan stays nan
+    return PhaseGrid(Lx=grid.Lx, Lv=grid.Lv, nx=grid.nx, nv=nv, data=data, t=t)
 
 
 def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: float,
             sample_dt: Optional[float] = None, on_snapshot=lambda snap: None) -> list[PhaseGrid]:
-    """Step to the horizon, returning snapshots every ``sample_dt`` (default 10 dt);
-    ``on_snapshot`` gets each one as soon as it is taken, the initial state first."""
+    """Step to the horizon in one ``vfp_step`` call per ``sample_dt`` (default 10 dt), returning
+    the snapshots; ``on_snapshot`` gets each one as soon as it is taken, the initial state first."""
     if not horizon > 0:
         raise ConfigurationError("horizon must be positive")
     if sample_dt is not None and not sample_dt > 0:
@@ -259,11 +267,10 @@ def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: floa
     every = max(1, round((10.0 * cfg.dt if sample_dt is None else sample_dt) / cfg.dt))
     snaps = [grid]
     on_snapshot(grid)
-    for k in range(n_steps):
-        grid = vfp_step(grid, params, cfg)
-        if (k + 1) % every == 0 or k + 1 == n_steps:
-            snaps.append(grid)
-            on_snapshot(grid)
+    for done in range(0, n_steps, every):
+        grid = vfp_step(grid, params, cfg, min(every, n_steps - done))
+        snaps.append(grid)
+        on_snapshot(grid)
     return snaps
 
 

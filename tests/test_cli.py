@@ -219,11 +219,11 @@ def test_lyapunov_w2_column_equals_direct_solves(tmp_path):
 def test_lyapunov_step_failure_exits_two_and_leaves_no_worker(tmp_path, monkeypatch):
     real_step, steps = vfplab.pde.vfp_step, []
 
-    def failing_step(grid, params, cfg):
+    def failing_step(grid, params, cfg, n_steps=1):
         steps.append(grid.t)
         if len(steps) > 3:
             raise SchemeError(f"negative cell beyond clamp tolerance at t={grid.t:g}")
-        return real_step(grid, params, cfg)
+        return real_step(grid, params, cfg, n_steps)
 
     monkeypatch.setattr(vfplab.pde, "vfp_step", failing_step)
     config = small_config("lyapunov", tmp_path)
@@ -424,7 +424,7 @@ def test_simulate_divergence_exit_code(tmp_path):
 
 
 def test_grid_scheme_failure_exits_two(tmp_path, monkeypatch):
-    def failing_step(grid, params, cfg):
+    def failing_step(grid, params, cfg, n_steps=1):
         raise SchemeError(f"negative cell beyond clamp tolerance at t={grid.t:g}")
 
     monkeypatch.setattr(vfplab.pde, "vfp_step", failing_step)
@@ -554,6 +554,42 @@ def test_fisher_stationary_start_rejects_an_initial_state(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert "initial" in err and "stationary_start" in err
+    assert not list(tmp_path.glob("run*"))
+
+
+def refuse_to_run(monkeypatch, *names):
+    """Make each of ``names`` in the CLI fail if called, so a test allocates no grid with it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called beyond the memory budget")
+    for name in names:
+        monkeypatch.setattr(vfplab.cli, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "fisher", "stationary"])
+def test_a_grid_beyond_the_memory_budget_exits_one_before_any_array(tmp_path, capsys, monkeypatch,
+                                                                     command):
+    # 100,000^2 cells: 80 GB for the first array
+    refuse_to_run(monkeypatch, "gaussian_grid", "stationary_fixed_point", "run_vfp")
+    config = small_config(command, tmp_path)
+    config["grid"].update(nx=100_000, nv=100_000)
+    assert main([command, "--config", write_config(tmp_path / "big.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert f"memory budget of {vfplab.cli.MEMORY_BUDGET} bytes" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "fisher"])
+def test_snapshots_beyond_the_memory_budget_exit_one_before_the_first_step(tmp_path, capsys,
+                                                                          monkeypatch, command):
+    # 256^2 with an "auto" dt of about 0.0035 and a snapshot every 0.01 up to t = 50: about
+    # 4800 snapshots of 512 KB; the auto dt needs the initial grid, so only that is built
+    refuse_to_run(monkeypatch, "stationary_fixed_point", "run_vfp")
+    config = small_config(command, tmp_path)
+    config["grid"] = {"Lx": 8.0, "Lv": 8.0, "nx": 256, "nv": 256, "dt": "auto"}
+    config["experiment"].update(horizon=50.0, sample_dt=0.01)
+    assert main([command, "--config", write_config(tmp_path / "long.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert f"memory budget of {vfplab.cli.MEMORY_BUDGET} bytes" in err and "Traceback" not in err
     assert not list(tmp_path.glob("run*"))
 
 

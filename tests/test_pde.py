@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vfplab.pde
 from vfplab import (ConfigurationError, GaussianState, GridConfig, ModelParams,
                     NonConvergenceError, PhaseGrid, SchemeError, builtin_kernel,
                     cfl_bound, gaussian_grid, grid_from_density, grid_to_binary,
@@ -183,6 +184,28 @@ def strided_step(grid, params, cfg):
     return data, clamped
 
 
+def strided_grid(grid, params, cfg):
+    """``strided_step`` as a step from grid to grid."""
+    data, _ = strided_step(grid, params, cfg)
+    return PhaseGrid(Lx=grid.Lx, Lv=grid.Lv, nx=grid.nx, nv=grid.nv, data=data, t=grid.t + cfg.dt)
+
+
+def chained(step, grid, params, cfg, n_steps):
+    """``n_steps`` calls of a single ``step``, each on the grid the last one returned."""
+    for _ in range(n_steps):
+        grid = step(grid, params, cfg)
+    return grid
+
+
+def outcome(run):
+    """What ``run()`` ends with: the grid's data bytes and t, or the error's type and message."""
+    try:
+        grid = run()
+    except (ConfigurationError, SchemeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return grid.data.tobytes(), grid.t
+
+
 def unit_mass_grid(data, lx, lv):
     nx, nv = data.shape
     return PhaseGrid(Lx=lx, Lv=lv, nx=nx, nv=nv,
@@ -195,11 +218,12 @@ def unit_mass_grid(data, lx, lv):
        cfl_safety=_UNIT_INTERVAL, dt_fraction=_UNIT_INTERVAL,
        box=st.tuples(st.floats(1.0, 8.0, **_FLOATS), st.floats(1.0, 8.0, **_FLOATS)),
        cells=st.tuples(st.integers(4, 24), st.integers(4, 24)).filter(lambda c: c[0] != c[1]),
-       seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 5))
 def test_flat_sweeps_match_the_strided_step_bit_for_bit(kernel, gamma, lam, splitting,
                                                         cfl_safety, dt_fraction, box, cells,
-                                                        seed):
-    # nx != nv, so a flux that leaked across a row end of the flat array would show
+                                                        seed, n_steps):
+    # nx != nv, so a flux that leaked across a row end of the flat array would show; n_steps
+    # in place end as n chained single steps and n strided steps do, t and any error included
     (lx, lv), (nx, nv) = box, cells
     params = ModelParams(gamma=gamma, lam=lam, kernel=builtin_kernel(kernel))
     grid = unit_mass_grid(np.random.default_rng(seed).random((nx, nv)) + 1e-3, lx, lv)
@@ -207,8 +231,10 @@ def test_flat_sweeps_match_the_strided_step_bit_for_bit(kernel, gamma, lam, spli
     dt = dt_fraction * cfl_safety * cfl_bound(grid, params)
     assume(dt > 0.0)
     cfg = GridConfig(dt=dt, **geometry)
-    expected, _ = strided_step(grid, params, cfg)
-    assert vfp_step(grid, params, cfg).data.tobytes() == expected.tobytes()
+    single = outcome(lambda: chained(vfp_step, grid, params, cfg, n_steps))
+    assert outcome(lambda: vfp_step(grid, params, cfg, n_steps)) == single
+    if n_steps == 1 or isinstance(single[0], bytes):   # one step within the budget never fails
+        assert outcome(lambda: chained(strided_grid, grid, params, cfg, n_steps)) == single
 
 
 @pytest.mark.parametrize("splitting, seed", [("lie", 21), ("strang", 221)])
@@ -222,6 +248,49 @@ def test_flat_sweeps_match_the_strided_step_through_the_clamp(splitting, seed):
     expected, clamped = strided_step(grid, params, cfg)
     assert clamped
     assert vfp_step(grid, params, cfg).data.tobytes() == expected.tobytes()
+    five = outcome(lambda: chained(strided_grid, grid, params, cfg, 5))
+    assert outcome(lambda: vfp_step(grid, params, cfg, 5)) == five
+    assert outcome(lambda: chained(vfp_step, grid, params, cfg, 5)) == five
+
+
+def test_a_cfl_failure_inside_one_call_matches_the_chained_steps():
+    # the force grows as the mean moves from 1 towards -1 and outruns the auto dt's 0.9 margin
+    params = quad_params(lam=1.0, a=0.5, b=1.0)
+    probe = default_grid_config(nx=64, nv=64, dt=1.0)
+    grid = gaussian_grid(probe, [1.0, 0.0], np.eye(2))
+    cfg = default_grid_config(nx=64, nv=64, dt=0.9 * 0.5 * cfl_bound(grid, params))
+    failure = outcome(lambda: chained(vfp_step, grid, params, cfg, 400))
+    assert failure == (ConfigurationError,
+                       "dt=0.00714286 violates the CFL budget 0.00714121 at t=2.06429")
+    assert outcome(lambda: vfp_step(grid, params, cfg, 400)) == failure
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_nan_force_inside_one_call_matches_the_chained_steps(monkeypatch, k):
+    real, calls = vfplab.pde.mean_field_force, []
+
+    def nan_on_call_k(params, x, marginal):
+        calls.append(x)
+        force = real(params, x, marginal)
+        return force * np.nan if len(calls) == k else force
+
+    monkeypatch.setattr(vfplab.pde, "mean_field_force", nan_on_call_k)
+    cfg = default_grid_config(nx=24, nv=20, dt=1e-2)
+    grid = gaussian_grid(cfg, [0.5, 0.0], np.eye(2))
+    failure = outcome(lambda: chained(vfp_step, grid, SINE_BOUNDARY, cfg, 6))
+    calls.clear()
+    assert outcome(lambda: vfp_step(grid, SINE_BOUNDARY, cfg, 6)) == failure
+    assert failure == (ConfigurationError,
+                       f"dt=0.01 violates the CFL budget nan at t={(k - 1) * 0.01:g}")
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5, True, "3", None])
+def test_n_steps_must_be_a_positive_integer(n_steps):
+    cfg = default_grid_config(nx=8, nv=8)
+    grid = gaussian_grid(cfg, [0.0, 0.0], np.eye(2))
+    with pytest.raises(ConfigurationError, match="n_steps must be an integer >= 1"):
+        vfp_step(grid, SINE_BOUNDARY, cfg, n_steps)
+    assert vfp_step(grid, SINE_BOUNDARY, cfg, np.int64(2)).t == vfp_step(grid, SINE_BOUNDARY, cfg, 2).t
 
 
 def test_lie_splitting_also_conserves():
@@ -319,6 +388,26 @@ def test_bernoulli_function_series_and_direct_agree():
     # smooth across the series switch
     fine = _bernoulli(np.linspace(-2e-5, 2e-5, 101))
     assert np.abs(np.diff(fine)).max() < 1e-5
+
+
+def test_run_vfp_takes_each_snapshot_from_one_call_over_its_interval(monkeypatch):
+    # 10 steps sampled every 3: intervals of 3, 3, 3 and a short last one of 1
+    cfg = default_grid_config(nx=32, nv=24, dt=1e-2)
+    grid = gaussian_grid(cfg, [0.5, 0.2], np.eye(2))
+    steps = [grid]
+    for _ in range(10):
+        steps.append(vfp_step(steps[-1], SINE_BOUNDARY, cfg))
+    real, calls = vfplab.pde.vfp_step, []
+
+    def counting(grid, params, cfg, n_steps=1):
+        calls.append(n_steps)
+        return real(grid, params, cfg, n_steps)
+
+    monkeypatch.setattr(vfplab.pde, "vfp_step", counting)
+    snaps = run_vfp(grid, SINE_BOUNDARY, cfg, 0.1, sample_dt=0.03)
+    assert calls == [3, 3, 3, 1]
+    assert ([(s.data.tobytes(), s.t) for s in snaps]
+            == [(steps[k].data.tobytes(), steps[k].t) for k in (0, 3, 6, 9, 10)])
 
 
 def test_run_vfp_snapshot_cadence():
