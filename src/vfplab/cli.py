@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from typing import Optional
@@ -24,14 +25,16 @@ from .functionals import (MAX_ASSIGNMENT, classical_free_energy, entropy, fisher
                           quadratic_free_energy, w2_grid)
 from .gaussian import GaussianState, bures_w2, free_energy_particle_limit, \
     free_energy_quadratic, moment_flow, stationary_gaussian
-from .model import ModelParams, builtin_kernel, coupling_constants, finite_float, smallness_holds
+from .model import ModelParams, builtin_kernel, coupling_constants, finite_float, \
+    smallness_holds, step_count
 from .output import write_csv, write_json
 from .particles import ParticleState, SimConfig, contraction_experiment, simulate
 from .pde import GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_to_binary, \
     grid_to_csv, run_vfp, stationary_fixed_point, vfp_step, x_marginal
 
 FISHER_SLACK = 1.1
-MEMORY_BUDGET = 2 ** 31   # 2 GiB of grids: snapshots kept, the state, its copy, a step's work
+MEMORY_BUDGET = 2 ** 31   # 2 GiB: GRID_ARRAYS full-size arrays and 2 (nx^2 + nv^2) cells for W2
+GRID_ARRAYS = 20   # a grid run's tracemalloc peak at 128^2 is 17.1-18.2, whatever its snapshots
 
 __all__ = ["main"]
 
@@ -79,11 +82,6 @@ def _flag(value, name: str) -> bool:
     return value
 
 
-def _check_memory(geometry: dict, snapshots: int = 0) -> None:
-    if 8 * geometry["nx"] * geometry["nv"] * (snapshots + 6) > MEMORY_BUDGET:
-        raise ConfigurationError(f"grids exceed the memory budget of {MEMORY_BUDGET} bytes")
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -111,10 +109,12 @@ def parse_model(cfg: dict) -> ModelParams:
 
 
 def parse_seed(cfg: dict, seed_override: Optional[int]) -> int:
-    """``--seed`` if given, else ``sim.seed`` (default 0): the only ``sim`` value it reads."""
+    """``--seed`` if given, else ``sim.seed`` (default 0), checked as SimConfig checks a seed:
+    the only ``sim`` value it reads."""
     section = cfg.get("sim", {})
     _require_keys(section, "sim", set(), {"dt", "integrator", "seed", "n_particles"})
-    return _count(section.get("seed", 0), "seed", 0) if seed_override is None else seed_override
+    seed = section.get("seed", 0) if seed_override is None else seed_override
+    return SimConfig(seed=_count(seed, "seed", 0)).seed
 
 
 def parse_sim(cfg: dict, seed_override: Optional[int]) -> tuple[SimConfig, int]:
@@ -138,20 +138,20 @@ def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
         "cfl_safety": finite_float(section.get("cfl_safety", 0.5), "cfl_safety"),
         "splitting": section.get("splitting", "strang"),
     }
-    _check_memory(geometry)
+    nx, nv = geometry["nx"], geometry["nv"]
+    if 8 * (GRID_ARRAYS * nx * nv + 2 * (nx * nx + nv * nv)) > MEMORY_BUDGET:
+        raise ConfigurationError(f"grids exceed the memory budget of {MEMORY_BUDGET} bytes")
     dt = section.get("dt", "auto")
     if dt == "auto":
         return geometry, None
     return geometry, finite_float(dt, "dt")
 
 
-def _grid_config(geometry: dict, dt: Optional[float], params: ModelParams, initial: PhaseGrid,
-                 horizon: float, sample_dt: float) -> GridConfig:
+def _grid_config(geometry: dict, dt: Optional[float], params: ModelParams,
+                 initial: PhaseGrid) -> GridConfig:
     if dt is None:
         dt = 0.9 * geometry["cfl_safety"] * cfl_bound(initial, params)
-    gcfg = GridConfig(dt=dt, **geometry)   # run_vfp keeps 1 + ceil(steps / every) snapshots
-    _check_memory(geometry, 1 - (-max(1, round(horizon / dt)) // max(1, round(sample_dt / dt))))
-    return gcfg
+    return GridConfig(dt=dt, **geometry)
 
 
 def parse_initial(section, default_mean=(1.0, 0.0)) -> GaussianState:
@@ -185,6 +185,8 @@ def _out_prefix(cfg: dict, args) -> str:
     prefix = args.out if args.out else cfg.get("output")
     if not prefix or not isinstance(prefix, str):
         raise ConfigurationError("an output prefix is required (--out or config 'output')")
+    if not os.path.isdir(os.path.dirname(prefix) or "."):
+        raise ConfigurationError(f"the directory of output prefix {prefix!r} does not exist")
     return prefix
 
 
@@ -270,20 +272,17 @@ def cmd_lyapunov(args) -> int:
     initial_g = parse_initial(exp.get("initial"))
     probe = GridConfig(dt=1.0, **geometry)
     grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-    gcfg = _grid_config(geometry, dt, params, grid0, horizon, sample_dt)
+    gcfg = _grid_config(geometry, dt, params, grid0)
 
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
 
     quadratic = params.kernel.kind == "quadratic_linear"
-    rows = [(float(snap.t), entropy(snap), classical_free_energy(snap, params),
-             quadratic_free_energy(snap, params) if quadratic else float("nan"),
-             fisher_information(snap, params, np.eye(2)),
-             fisher_information(snap, params, constants.A), w2_grid(snap, target), snap.mass())
-            for snap in run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)]
-    write_csv(prefix + "_lyapunov.csv",
-              ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
-               "w2_to_stationary", "mass"], rows)
+    rows = run_vfp(grid0, params, gcfg, horizon, sample_dt, lambda snap: (
+        float(snap.t), entropy(snap), classical_free_energy(snap, params),
+        quadratic_free_energy(snap, params) if quadratic else float("nan"),
+        fisher_information(snap, params, np.eye(2)),
+        fisher_information(snap, params, constants.A), w2_grid(snap, target), snap.mass()))
 
     report = _run_parameters(params, gcfg, dt=gcfg.dt, horizon=horizon, seed=seed,
                              smallness=smallness_holds(params), witness=None)
@@ -293,6 +292,9 @@ def cmd_lyapunov(args) -> int:
         report["F_monotone"] = bool(increments.size == 0 or increments.max() <= 1e-6)
     if witness_search:
         report["witness"] = _lyapunov_witness(params, gcfg, target)
+    write_csv(prefix + "_lyapunov.csv",   # after the witness probes, which can still fail
+              ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
+               "w2_to_stationary", "mass"], rows)
     write_json(prefix + "_lyapunov.json", report)
     return 0
 
@@ -317,21 +319,16 @@ def cmd_fisher(args) -> int:
     else:
         initial_g = parse_initial(exp.get("initial"))
         grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-    gcfg = _grid_config(geometry, dt, params, grid0, horizon, sample_dt)
+    gcfg = _grid_config(geometry, dt, params, grid0)
 
-    snaps = run_vfp(grid0, params, gcfg, horizon, sample_dt=sample_dt)
-
-    fisher = [(fisher_information(snap, params, constants.A),
-               fisher_information(snap, params, np.eye(2))) for snap in snaps]
-    i_a0, i_i0 = fisher[0]
-    rows = []
-    violated = False
-    for snap, (i_a, i_i) in zip(snaps, fisher):
-        env_a = i_a0 * math.exp(-rate * snap.t)
-        env_i = 4.0 * i_i0 * math.exp(-rate * snap.t)
-        if i_a > env_a * FISHER_SLACK or i_i > env_i * FISHER_SLACK:
-            violated = True
-        rows.append((float(snap.t), i_a, i_i, env_a, env_i))
+    fisher = run_vfp(grid0, params, gcfg, horizon, sample_dt, lambda snap: (
+        float(snap.t), fisher_information(snap, params, constants.A),
+        fisher_information(snap, params, np.eye(2))))
+    _, i_a0, i_i0 = fisher[0]
+    rows = [(t, i_a, i_i, i_a0 * math.exp(-rate * t), 4.0 * i_i0 * math.exp(-rate * t))
+            for t, i_a, i_i in fisher]
+    violated = any(i_a > env_a * FISHER_SLACK or i_i > env_i * FISHER_SLACK
+                   for _, i_a, i_i, env_a, env_i in rows)
     write_csv(prefix + "_fisher.csv",
               ["t", "fisher_A", "fisher_I", "envelope_A", "envelope_I"], rows)
     write_json(prefix + "_fisher.json", _run_parameters(
@@ -413,8 +410,8 @@ def cmd_simulate(args) -> int:
     draws = rng.standard_normal((2, n))
     xv = initial.mean[:, None] + chol @ draws
     state = ParticleState(x=xv[0], v=xv[1])
-    n_steps = max(1, round(horizon / sim.dt))
-    record_every = max(1, round(sample_dt / sim.dt))
+    n_steps = step_count(horizon, sim.dt, "horizon")
+    record_every = step_count(sample_dt, sim.dt, "sample_dt")
     snaps = simulate(state, params, sim, n_steps, record_every=record_every)
     rows = ((float(s.t), i, float(s.x[i]), float(s.v[i]))
             for s in snaps for i in range(s.n))

@@ -21,6 +21,11 @@ MASK = 1e-14
 MAX_ASSIGNMENT = 4096
 W2_EPS = 0.5     # w2_grid's blur, raised on large boxes
 W2_TOL = 1e-10   # w2_grid's stopping gap of each Sinkhorn dual
+# Sizes up to which an OpenBLAS matrix product (multiply-adds) and dot product (terms) stay on
+# the calling thread.  w2_grid keeps to them: at 128^2 a second thread saves it no time, a dot
+# split over threads rounds by the host's core count, and after each threaded call OpenBLAS's
+# idle workers spin for about 0.13 s, burning a core through the grid steps between snapshots.
+SERIAL_GEMM, SERIAL_DOT = 2 ** 18, 10_000
 
 __all__ = [
     "MASK",
@@ -178,6 +183,13 @@ def sample_from_grid(grid: PhaseGrid, n: int, seed: int) -> Array:
     return np.column_stack([x, v])
 
 
+def _serial_matmul(a: Array, b: Array) -> Array:
+    """``a @ b`` in blocks of rows of ``a`` of at most SERIAL_GEMM multiply-adds each (a row
+    at least); an entry may round differently from one call, by an ulp or so."""
+    rows = max(1, SERIAL_GEMM // (a.shape[1] * b.shape[1]))
+    return np.concatenate([a[i:i + rows] @ b for i in range(0, a.shape[0], rows)])
+
+
 def w2_grid(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
     """W2 between grid densities as the root of a debiased Sinkhorn divergence; deterministic.
 
@@ -185,7 +197,7 @@ def w2_grid(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
     blur e = max(W2_EPS, d^2/700) with d the longer span of cell centres, so no entry of the
     Gibbs kernel Kx (x) Kv underflows (Feydy et al. 2019).  S has no O(e) bias: at e = 0.5 it is
     within 5e-3 of exact for unit-scale Gaussians at 128^2 on [-6, 6]^2; e = 5 on [-30, 30]^2
-    errs by up to 12%.
+    errs by up to 12%.  Every product stays on one BLAS thread (see SERIAL_GEMM).
     """
     _same_geometry(grid_f, grid_g)
     eps = max(W2_EPS, max(2.0 * grid_f.Lx - grid_f.dx, 2.0 * grid_f.Lv - grid_f.dv) ** 2 / 700.0)
@@ -194,17 +206,22 @@ def w2_grid(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
     p, q = (np.where(g.data >= MASK, g.data, 0.0) for g in (grid_f, grid_g))
     p, q = p / p.sum(), q / q.sum()
 
+    def gibbs(m):   # K(m): two small matrix products
+        return _serial_matmul(_serial_matmul(kx, m), kv)
+
     def dual(a, b):   # e (<a, ln u> + <b, ln v>) at the scalings with u K(v) = a, v K(u) = b
         u, v, floor = np.sqrt(a), np.sqrt(b), np.maximum(a, 1e-300)
         for _ in range(100_000):
-            k_v = kx @ v @ kv   # K(v): two small matrix products
+            k_v = gibbs(v)
             gap = eps * float(((u * k_v - a) ** 2 / floor).sum())   # about e KL(a | u K(v))
             if not gap > W2_TOL:
                 break
             u = np.sqrt(u * a / k_v) if b is a else a / k_v   # one potential: averaged steps
-            v = u if b is a else b / (kx @ u @ kv)
+            v = u if b is a else b / gibbs(u)
         if not gap <= W2_TOL:   # out of steps, or a scaling overflowed
             raise NonConvergenceError(f"w2_grid: Sinkhorn stopped at a dual gap of {gap:g}", gap)
-        return eps * sum(float(w[w > 0] @ np.log(s[w > 0])) for w, s in ((a, u), (b, v)))
+        terms = [(w[w > 0], np.log(s[w > 0])) for w, s in ((a, u), (b, v))]
+        return eps * sum(float(w[i:i + SERIAL_DOT] @ s[i:i + SERIAL_DOT])
+                         for w, s in terms for i in range(0, w.size, SERIAL_DOT))
 
     return math.sqrt(max(dual(p, q) - 0.5 * dual(p, p) - 0.5 * dual(q, q), 0.0))

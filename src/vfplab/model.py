@@ -109,6 +109,16 @@ def finite_float(value, name: str) -> float:
     return float(value)
 
 
+def step_count(span: float, dt: float, name: str) -> int:
+    """The number of dt steps in ``span``, at least 1.  ConfigurationError unless ``span`` is
+    positive and the count is below 2**63; an infinite count would overflow ``round``."""
+    if not span > 0:
+        raise ConfigurationError(f"{name} must be positive")
+    if not span / dt < 2 ** 63:
+        raise ConfigurationError(f"{name}={span:g} is more than 2**63 steps of dt={dt:g}")
+    return max(1, round(span / dt))
+
+
 def builtin_kernel(spec: Union[str, dict, InteractionKernel]) -> InteractionKernel:
     """Build one of the builtin kernels from a descriptor.
 
@@ -165,9 +175,9 @@ def builtin_kernel(spec: Union[str, dict, InteractionKernel]) -> InteractionKern
         if extra != {"height", "width"}:
             raise ConfigurationError(f"gaussian_bump kernel needs exactly 'height' and 'width', got {sorted(extra)}")
         h, w = finite_float(spec["height"], "height"), finite_float(spec["width"], "width")
-        if not w > 0.0:
-            raise ConfigurationError(f"gaussian_bump width must be positive, got {w}")
-        w2 = w * w
+        w2 = w * w   # 0 for a width below about 2e-162
+        if not (w > 0.0 and w2 > 0.0):
+            raise ConfigurationError(f"gaussian_bump width must be positive, with a positive square, got {w}")
 
         def ev(x):
             x = _as_float_array(x)

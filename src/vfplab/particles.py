@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .model import (CouplingConstants, ModelParams, _direct_sum, coupling_constants, kernel_sum,
-                    smallness_holds)
+                    smallness_holds, step_count)
 
 Array = np.ndarray
 
@@ -277,14 +277,10 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
         raise ConfigurationError("contraction experiment needs at least 2 particles")
     if replicas < 1:
         raise ConfigurationError("replicas must be >= 1")
-    if not horizon > 0:
-        raise ConfigurationError("horizon must be positive")
-    if sample_dt is not None and not sample_dt > 0:
-        raise ConfigurationError("sample_dt must be positive")
+    n_steps = step_count(horizon, cfg.dt, "horizon")
+    sample_every = step_count(0.1 if sample_dt is None else sample_dt, cfg.dt, "sample_dt")
     constants = coupling_constants(params.gamma)
     rate = constants.contraction_rate
-    n_steps = max(1, round(horizon / cfg.dt))
-    sample_every = max(1, round((0.1 if sample_dt is None else sample_dt) / cfg.dt))
     warnings: list[str] = []
     small = smallness_holds(params)
     if not small:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError, SchemeError
-from .model import ModelParams, kernel_sum, mean_field_force, smallness_holds
+from .model import ModelParams, kernel_sum, mean_field_force, smallness_holds, step_count
 from .output import write_csv, write_json
 
 Array = np.ndarray
@@ -125,7 +125,7 @@ def grid_from_density(cfg: GridConfig, density, t: float = 0.0) -> PhaseGrid:
     data = np.maximum(data, 0.0)
     total = data.sum() * (2.0 * cfg.Lx / cfg.nx) * (2.0 * cfg.Lv / cfg.nv)
     if not total > 0:
-        raise ValueError("density must have positive mass on the grid")
+        raise ConfigurationError("density must have positive mass on the grid")
     return PhaseGrid(Lx=cfg.Lx, Lv=cfg.Lv, nx=cfg.nx, nv=cfg.nv, data=data / total, t=t)
 
 
@@ -256,22 +256,16 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig,
 
 
 def run_vfp(grid: PhaseGrid, params: ModelParams, cfg: GridConfig, horizon: float,
-            sample_dt: Optional[float] = None, on_snapshot=lambda snap: None) -> list[PhaseGrid]:
+            sample_dt: Optional[float] = None, row=lambda snap: snap) -> list:
     """Step to the horizon in one ``vfp_step`` call per ``sample_dt`` (default 10 dt), returning
-    the snapshots; ``on_snapshot`` gets each one as soon as it is taken, the initial state first."""
-    if not horizon > 0:
-        raise ConfigurationError("horizon must be positive")
-    if sample_dt is not None and not sample_dt > 0:
-        raise ConfigurationError("sample_dt must be positive")
-    n_steps = max(1, round(horizon / cfg.dt))
-    every = max(1, round((10.0 * cfg.dt if sample_dt is None else sample_dt) / cfg.dt))
-    snaps = [grid]
-    on_snapshot(grid)
+    ``row(snapshot)`` for each snapshot, the initial state first; no snapshot outlives its row."""
+    n_steps = step_count(horizon, cfg.dt, "horizon")
+    every = step_count(10.0 * cfg.dt if sample_dt is None else sample_dt, cfg.dt, "sample_dt")
+    rows = [row(grid)]
     for done in range(0, n_steps, every):
         grid = vfp_step(grid, params, cfg, min(every, n_steps - done))
-        snaps.append(grid)
-        on_snapshot(grid)
-    return snaps
+        rows.append(row(grid))
+    return rows
 
 
 def stationary_fixed_point(params: ModelParams, cfg: GridConfig, tol: float = 1e-10,

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ def test_lyapunov_w2_failure_keeps_its_exit_code(tmp_path, monkeypatch):
     assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 1
     assert not (tmp_path / "run_lyapunov.csv").exists()
     assert threading.active_count() == threads
+
+
+def test_lyapunov_witness_failure_writes_nothing(tmp_path, monkeypatch):
+    # the witness probes step other states, so they can still fail the CFL check after the run
+    def failing_witness(*args, **kwargs):
+        raise ConfigurationError("dt=0.004 violates the CFL budget 0.003 at t=0")
+
+    monkeypatch.setattr(vfplab.cli, "_lyapunov_witness", failing_witness)
+    config = small_config("lyapunov", tmp_path)
+    config["experiment"]["witness_search"] = True
+    assert main(["lyapunov", "--config", write_config(tmp_path / "l.json", config)]) == 1
+    assert not list(tmp_path.glob("run*"))
 
 
 def test_lyapunov_reads_only_the_seed_of_sim(tmp_path, capsys):
@@ -578,18 +591,55 @@ def test_a_grid_beyond_the_memory_budget_exits_one_before_any_array(tmp_path, ca
     assert not list(tmp_path.glob("run*"))
 
 
-@pytest.mark.parametrize("command", ["lyapunov", "fisher"])
-def test_snapshots_beyond_the_memory_budget_exit_one_before_the_first_step(tmp_path, capsys,
-                                                                          monkeypatch, command):
-    # 256^2 with an "auto" dt of about 0.0035 and a snapshot every 0.01 up to t = 50: about
-    # 4800 snapshots of 512 KB; the auto dt needs the initial grid, so only that is built
-    refuse_to_run(monkeypatch, "stationary_fixed_point", "run_vfp")
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one in-process CLI run that exits 0, sweep coefficients included."""
+    vfplab.pde._weights.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["fisher", "lyapunov"])
+def test_a_grid_run_holds_the_same_memory_whatever_its_snapshot_count(tmp_path, command):
+    # 128^2 and one step a snapshot: 3 snapshots, then 51; each row is made as its grid arrives
+    peaks = []
+    for horizon in (0.004, 0.1):
+        config = small_config(command, tmp_path)
+        config["grid"].update(nx=128, nv=128, dt=0.002)
+        config["experiment"].update(horizon=horizon, sample_dt=0.002)
+        peaks.append(traced_peak([command, "--config", write_config(tmp_path / "m.json", config)]))
+    array = 8 * 128 * 128
+    assert max(peaks) < vfplab.cli.GRID_ARRAYS * array
+    assert abs(peaks[1] - peaks[0]) < array
+
+
+def test_the_memory_budget_counts_the_w2_kernels_of_a_narrow_grid(tmp_path, capsys, monkeypatch):
+    # at 8 x 1024 the two 1024^2 v kernels of w2_grid outweigh every grid-sized array
+    config = small_config("lyapunov", tmp_path)
+    config["grid"].update(nx=8, nv=1024, dt="auto")
+    config["experiment"].update(horizon=0.002, sample_dt=0.002)
+    peak = traced_peak(["lyapunov", "--config", write_config(tmp_path / "n.json", config)])
+    assert 8 * 1024 ** 2 < peak < 8 * (vfplab.cli.GRID_ARRAYS * 8 * 1024 + 2 * (8 ** 2 + 1024 ** 2))
+    # so at 4 x 20,000, a grid of 640 KB, each v kernel would take 3.2 GB
+    refuse_to_run(monkeypatch, "gaussian_grid", "stationary_fixed_point", "run_vfp")
+    config["grid"].update(nx=4, nv=20_000)
+    assert main(["lyapunov", "--config", write_config(tmp_path / "w.json", config)]) == 1
+    assert f"memory budget of {vfplab.cli.MEMORY_BUDGET} bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["contraction", "lyapunov", "simulate"])
+@pytest.mark.parametrize("seed", [-7, 2 ** 64])
+def test_the_seed_override_obeys_the_rule_of_sim_seed(tmp_path, capsys, command, seed):
     config = small_config(command, tmp_path)
-    config["grid"] = {"Lx": 8.0, "Lv": 8.0, "nx": 256, "nv": 256, "dt": "auto"}
-    config["experiment"].update(horizon=50.0, sample_dt=0.01)
-    assert main([command, "--config", write_config(tmp_path / "long.json", config)]) == 1
-    err = capsys.readouterr().err
-    assert f"memory budget of {vfplab.cli.MEMORY_BUDGET} bytes" in err and "Traceback" not in err
+    path = write_config(tmp_path / "a.json", config)
+    assert main([command, "--config", path, "--seed", str(seed)]) == 1
+    config.setdefault("sim", {})["seed"] = seed
+    assert main([command, "--config", write_config(tmp_path / "b.json", config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("configuration error: seed") for line in err)
     assert not list(tmp_path.glob("run*"))
 
 

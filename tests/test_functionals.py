@@ -11,6 +11,7 @@ from vfplab import (GaussianState, GridConfig, ModelParams, builtin_kernel, bure
                     grid_from_density, l1_distance, local_equilibrium,
                     quadratic_free_energy, relative_entropy, sample_from_grid,
                     stationary_fixed_point, w2_empirical, w2_grid)
+from vfplab.functionals import _serial_matmul
 
 CFG = GridConfig(Lx=8.0, Lv=8.0, nx=128, nv=128, dt=1e-3)
 
@@ -222,6 +223,13 @@ def test_sample_from_grid_statistics_and_determinism():
     assert abs(s1[:, 0].mean() - 1.0) < 3.0 / np.sqrt(4096) + 0.01
     assert abs(s1[:, 1].mean() + 0.5) < 3.0 / np.sqrt(4096) + 0.01
     assert not np.array_equal(s1, sample_from_grid(grid, 4096, seed=4))
+
+
+@pytest.mark.parametrize("m, k, n", [(128, 128, 128), (37, 200, 90), (5, 3000, 7), (3, 4, 5)])
+def test_serial_matmul_is_the_product_in_blocks_of_rows(m, k, n):
+    rng = np.random.default_rng(m)
+    a, b = rng.random((m, k)), rng.random((k, n))
+    np.testing.assert_allclose(_serial_matmul(a, b), a @ b, rtol=1e-13, atol=0)
 
 
 def test_w2_grid_levels():

@@ -14,6 +14,7 @@ from vfplab import (ConfigurationError, GridConfig, ModelParams, builtin_kernel,
                     norm_equivalence_ratio, pairwise_force, quadratic_free_energy,
                     smallness_holds, smallness_threshold, stationary_fixed_point, vfp_step,
                     x_marginal)
+from vfplab.model import step_count
 
 GAMMA_GRID = np.logspace(np.log10(1.0 / 16.0), np.log10(16.0), 33)
 
@@ -89,10 +90,19 @@ def test_kernel_evenness_flags():
     {"type": "zero", "scale": 2.0},
     {"no_type": True},
     42,
+    {"type": "gaussian_bump", "height": 1.0, "width": 1e-200},   # its square underflows to 0
 ])
 def test_kernel_descriptor_validation(bad):
     with pytest.raises(ConfigurationError):
         builtin_kernel(bad)
+
+
+def test_step_count_rounds_to_at_least_one_step_and_rejects_what_no_run_can_take():
+    assert step_count(0.1, 0.03, "horizon") == 3
+    assert step_count(1e-9, 1.0, "horizon") == 1
+    for span, dt in ((0.0, 1.0), (-1.0, 1.0), (float("nan"), 1.0), (1e10, 1e-300), (1.0, 1e-19)):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            step_count(span, dt, "horizon")
 
 
 def test_kernel_passthrough():

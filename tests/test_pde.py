@@ -1,6 +1,7 @@
 """Finite-volume solver: conservation, equilibria, moment tracking, refinement."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -408,6 +409,22 @@ def test_run_vfp_takes_each_snapshot_from_one_call_over_its_interval(monkeypatch
     assert calls == [3, 3, 3, 1]
     assert ([(s.data.tobytes(), s.t) for s in snaps]
             == [(steps[k].data.tobytes(), steps[k].t) for k in (0, 3, 6, 9, 10)])
+
+
+def test_run_vfp_returns_one_row_per_snapshot_and_keeps_no_snapshot():
+    cfg = default_grid_config(nx=32, nv=32, dt=1e-2)
+    grid = gaussian_grid(cfg, [0.5, 0.0], np.eye(2))
+    refs = []
+
+    def row(snap):
+        refs.append(weakref.ref(snap))
+        assert sum(ref() is not None for ref in refs) <= 2   # the caller's initial grid and snap
+        return snap.t, snap.data.sum()
+
+    rows = run_vfp(grid, quad_params(lam=0.0), cfg, 0.1, sample_dt=0.03, row=row)
+    snaps = run_vfp(grid, quad_params(lam=0.0), cfg, 0.1, sample_dt=0.03)
+    assert rows == [(s.t, s.data.sum()) for s in snaps]
+    assert [ref() is None for ref in refs] == [False, True, True, True, True]
 
 
 def test_run_vfp_snapshot_cadence():
