@@ -7,7 +7,6 @@ density below 1e-14 so tails cannot poison the integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "entropy",
     "classical_free_energy",
     "quadratic_free_energy",
-    "LocalEquilibrium",
     "local_equilibrium",
     "fisher_information",
     "relative_entropy",
@@ -57,9 +55,9 @@ def classical_free_energy(grid: PhaseGrid, params: ModelParams) -> float:
     the double integral only sees the even part of K either way.
     """
     xc, vc = grid.x_centers, grid.v_centers
-    quad = 0.5 * (xc[:, None] ** 2 + vc[None, :] ** 2)
-    conf = float(np.sum(quad * grid.data) * grid.cell_area())
     _, w = x_marginal(grid)
+    w_v = grid.data.sum(axis=0) * grid.cell_area()
+    conf = 0.5 * float((xc * xc) @ w + (vc * vc) @ w_v)
     interaction = 0.5 * params.lam * float(w @ kernel_sum(params.kernel, xc, xc, w))
     return entropy(grid) + conf + interaction
 
@@ -78,45 +76,36 @@ def quadratic_free_energy(grid: PhaseGrid, params: ModelParams) -> float:
     return classical_free_energy(grid, params) + params.lam * b * float(xc @ w)
 
 
-@dataclass(frozen=True)
-class LocalEquilibrium:
-    """Self-consistent local Gibbs state exp(-x^2/2 - lam K*f - v^2/2)/Z."""
-
-    data: Array
-    log_data: Array
-    Z: float
-
-
-def local_equilibrium(grid: PhaseGrid, params: ModelParams) -> LocalEquilibrium:
-    """Local equilibrium attached to the current density; factorizes in (x, v)."""
+def local_equilibrium(grid: PhaseGrid, params: ModelParams) -> tuple[Array, Array]:
+    """Local Gibbs state exp(-x^2/2 - lam K*f - v^2/2)/Z attached to the current density, as
+    its two 1-D log densities of unit mass on their own axes: ln f_hat = log_x[i] + log_v[j]."""
     xc, vc = grid.x_centers, grid.v_centers
     _, w = x_marginal(grid)
-    conv = kernel_sum(params.kernel, xc, xc, w)
-    log_unnorm = (-0.5 * xc * xc - params.lam * conv)[:, None] - 0.5 * (vc * vc)[None, :]
-    z = float(np.exp(log_unnorm).sum() * grid.cell_area())
-    return LocalEquilibrium(data=np.exp(log_unnorm) / z,
-                            log_data=log_unnorm - math.log(z), Z=z)
+    log_x = -0.5 * xc * xc - params.lam * kernel_sum(params.kernel, xc, xc, w)
+    log_v = -0.5 * vc * vc
+    return (log_x - math.log(float(np.exp(log_x).sum()) * grid.dx),
+            log_v - math.log(float(np.exp(log_v).sum()) * grid.dv))
 
 
 def fisher_information(grid: PhaseGrid, params: ModelParams, A: Array) -> float:
     """int |A grad ln(f / f_hat)|^2 f with centered differences on interior cells.
 
     Cells participate only when they and their four neighbours carry density
-    above the mask, so the log-ratio gradient is always well defined.
+    above the mask, so the log-ratio gradient is always well defined.  ln f_hat
+    enters through the 1-D differences of its two profiles.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
         raise ValueError("A must be a 2x2 matrix")
     f = grid.data
-    hat = local_equilibrium(grid, params)
+    log_x, log_v = local_equilibrium(grid, params)
     valid = f >= MASK
-    r = np.zeros_like(f)
-    r[valid] = np.log(f[valid]) - hat.log_data[valid]
+    log_f = np.log(np.maximum(f, MASK))   # finite on masked cells, which get weight 0 below
 
     ok = (valid[1:-1, 1:-1] & valid[2:, 1:-1] & valid[:-2, 1:-1]
           & valid[1:-1, 2:] & valid[1:-1, :-2])
-    gx = (r[2:, 1:-1] - r[:-2, 1:-1]) / (2.0 * grid.dx)
-    gv = (r[1:-1, 2:] - r[1:-1, :-2]) / (2.0 * grid.dv)
+    gx = (log_f[2:, 1:-1] - log_f[:-2, 1:-1] - (log_x[2:] - log_x[:-2])[:, None]) / (2.0 * grid.dx)
+    gv = (log_f[1:-1, 2:] - log_f[1:-1, :-2] - (log_v[2:] - log_v[:-2])) / (2.0 * grid.dv)
     g1 = A[0, 0] * gx + A[0, 1] * gv
     g2 = A[1, 0] * gx + A[1, 1] * gv
     weight = np.where(ok, f[1:-1, 1:-1], 0.0)
@@ -220,6 +209,7 @@ def w2_grid(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
             v = u if b is a else b / gibbs(u)
         if not gap <= W2_TOL:   # out of steps, or a scaling overflowed
             raise NonConvergenceError(f"w2_grid: Sinkhorn stopped at a dual gap of {gap:g}", gap)
+        del k_v, floor   # not held beside the four arrays below: cli.GRID_ARRAYS counts the peak
         terms = [(w[w > 0], np.log(s[w > 0])) for w, s in ((a, u), (b, v))]
         return eps * sum(float(w[i:i + SERIAL_DOT] @ s[i:i + SERIAL_DOT])
                          for w, s in terms for i in range(0, w.size, SERIAL_DOT))

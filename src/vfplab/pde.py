@@ -162,7 +162,7 @@ def _bernoulli(w: Array) -> Array:
     return out
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)   # a run steps one geometry
 def _weights(Lv: float, nx: int, nv: int) -> tuple[Array, Array, Array, Array, float]:
     """Read-only flat-array coefficients: x speeds >= 0 and <= 0 of the first nx - 1 rows;
     B(w), -B(-w) per cell but the last, 0 at row ends; and gamma times the largest dt keeping

@@ -1,16 +1,18 @@
 """Free energies, local equilibria, twisted Fisher information, and transport metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vfplab import (GaussianState, GridConfig, ModelParams, builtin_kernel, bures_w2,
+from vfplab import (MASK, GaussianState, GridConfig, ModelParams, builtin_kernel, bures_w2,
                     classical_free_energy, coupling_constants, entropy,
                     fisher_information, free_energy_quadratic, gaussian_grid,
-                    grid_from_density, l1_distance, local_equilibrium,
+                    grid_from_density, kernel_sum, l1_distance, local_equilibrium,
                     quadratic_free_energy, relative_entropy, sample_from_grid,
-                    stationary_fixed_point, w2_empirical, w2_grid)
+                    stationary_fixed_point, w2_empirical, w2_grid, x_marginal)
 from vfplab.functionals import _serial_matmul
 
 CFG = GridConfig(Lx=8.0, Lv=8.0, nx=128, nv=128, dt=1e-3)
@@ -85,8 +87,7 @@ def test_local_equilibrium_factorizes():
     params = ModelParams(gamma=1.0, lam=0.125,
                          kernel=builtin_kernel({"type": "sine", "amplitude": 1.0}))
     grid = gaussian_grid(CFG, [0.5, -0.3], np.eye(2))
-    attached = local_equilibrium(grid, params)
-    d = attached.data
+    d = np.exp(np.add.outer(*local_equilibrium(grid, params)))
     assert abs(d.sum() * grid.cell_area() - 1.0) < 1e-12
     # rank-one in (x, v): cross ratios cancel
     i, k, j, l = 10, 90, 30, 100
@@ -102,9 +103,9 @@ def test_local_equilibrium_factorizes():
 def test_local_equilibrium_without_interaction_is_maxwellian():
     params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
     grid = gaussian_grid(CFG, [1.0, 1.0], 0.5 * np.eye(2))
-    attached = local_equilibrium(grid, params)
+    attached = np.exp(np.add.outer(*local_equilibrium(grid, params)))
     ref = gaussian_grid(CFG, [0.0, 0.0], np.eye(2))
-    assert np.abs(attached.data - ref.data).max() < 1e-12
+    assert np.abs(attached - ref.data).max() < 1e-12
 
 
 # ------------------------------------------------------------------ fisher --
@@ -142,6 +143,83 @@ def test_fisher_matrix_sandwich():
         i_i = fisher_information(grid, params, np.eye(2))
         assert evals[0] * i_i <= i_a * (1.0 + 1e-10) + 1e-12
         assert i_a <= evals[1] * i_i * (1.0 + 1e-10) + 1e-12
+
+
+# ------------------------------------------- full-size reference formulas --
+
+def reference_local_equilibrium(grid, params):
+    """The local Gibbs state and its log as nx x nv arrays, normalised by the grid sum."""
+    xc, vc = grid.x_centers, grid.v_centers
+    _, w = x_marginal(grid)
+    conv = kernel_sum(params.kernel, xc, xc, w)
+    log_unnorm = (-0.5 * xc * xc - params.lam * conv)[:, None] - 0.5 * (vc * vc)[None, :]
+    z = float(np.exp(log_unnorm).sum() * grid.cell_area())
+    return np.exp(log_unnorm) / z, log_unnorm - math.log(z)
+
+
+def reference_fisher_information(grid, params, A):
+    """Centered differences of r = ln f - ln f_hat, with r = 0 on masked cells."""
+    f = grid.data
+    valid = f >= MASK
+    r = np.zeros_like(f)
+    r[valid] = np.log(f[valid]) - reference_local_equilibrium(grid, params)[1][valid]
+    ok = (valid[1:-1, 1:-1] & valid[2:, 1:-1] & valid[:-2, 1:-1]
+          & valid[1:-1, 2:] & valid[1:-1, :-2])
+    gx = (r[2:, 1:-1] - r[:-2, 1:-1]) / (2.0 * grid.dx)
+    gv = (r[1:-1, 2:] - r[1:-1, :-2]) / (2.0 * grid.dv)
+    g1 = A[0, 0] * gx + A[0, 1] * gv
+    g2 = A[1, 0] * gx + A[1, 1] * gv
+    weight = np.where(ok, f[1:-1, 1:-1], 0.0)
+    return float(np.sum((g1 * g1 + g2 * g2) * weight) * grid.cell_area())
+
+
+def reference_classical_free_energy(grid, params):
+    """The confinement energy from the full-size array (x^2 + v^2) / 2."""
+    xc, vc = grid.x_centers, grid.v_centers
+    quad = 0.5 * (xc[:, None] ** 2 + vc[None, :] ** 2)
+    conf = float(np.sum(quad * grid.data) * grid.cell_area())
+    _, w = x_marginal(grid)
+    interaction = 0.5 * params.lam * float(w @ kernel_sum(params.kernel, xc, xc, w))
+    return entropy(grid) + conf + interaction
+
+
+unit = st.floats(-1.0, 1.0)
+kernels = st.one_of(
+    st.just("zero"),
+    st.fixed_dictionaries({"type": st.just("quadratic_linear"), "a": unit, "b": unit}),
+    st.fixed_dictionaries({"type": st.just("sine"), "amplitude": unit}),
+    st.fixed_dictionaries({"type": st.just("gaussian_bump"), "height": unit,
+                           "width": st.floats(0.2, 3.0)}),
+    st.fixed_dictionaries({"type": st.just("symmetrized"), "inner": st.fixed_dictionaries(
+        {"type": st.just("quadratic_linear"), "a": unit, "b": unit})}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(Lx=st.floats(2.0, 12.0), Lv=st.floats(2.0, 12.0), nx=st.integers(8, 64),
+       nv=st.integers(8, 64), spec=kernels, lam=st.floats(0.0, 1.0),
+       shape=st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5))
+def test_profile_functionals_match_the_full_size_formulas(Lx, Lv, nx, nv, spec, lam, shape):
+    # ``shape`` places a Gaussian: mean within the middle half of the box, standard deviations
+    # of 1/8 to 1/2 of the box, correlation within 0.8
+    params = ModelParams(gamma=1.0, lam=lam, kernel=builtin_kernel(spec))
+    cfg = GridConfig(Lx=Lx, Lv=Lv, nx=nx, nv=nv, dt=1e-3)
+    sx, sv = Lx * 2.0 ** (2.0 * shape[2] - 2.0), Lv * 2.0 ** (2.0 * shape[3] - 2.0)
+    cov = [[sx * sx, 1.6 * shape[4] * sx * sv], [1.6 * shape[4] * sx * sv, sv * sv]]
+    grid = gaussian_grid(cfg, [Lx * shape[0], Lv * shape[1]], cov)
+
+    def close(value, ref):
+        assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    hat, _ = reference_local_equilibrium(grid, params)
+    assert np.abs(np.exp(np.add.outer(*local_equilibrium(grid, params))) - hat).max() <= 1e-14
+    for A in (coupling_constants(1.0).A, np.eye(2)):
+        close(fisher_information(grid, params, A), reference_fisher_information(grid, params, A))
+    ref = reference_classical_free_energy(grid, params)
+    close(classical_free_energy(grid, params), ref)
+    if params.kernel.kind == "quadratic_linear":
+        _, w = x_marginal(grid)
+        ref += lam * params.kernel.coeffs[1] * float(grid.x_centers @ w)
+        close(quadratic_free_energy(grid, params), ref)
 
 
 # ------------------------------------------------------- relative entropy ---

@@ -391,6 +391,14 @@ def test_bernoulli_function_series_and_direct_agree():
     assert np.abs(np.diff(fine)).max() < 1e-5
 
 
+def test_the_sweep_coefficients_of_one_geometry_stay_cached():
+    vfplab.pde._weights.cache_clear()
+    for n in (16, 24, 32):
+        cfg = default_grid_config(nx=n, nv=n, dt=1e-3)
+        vfp_step(gaussian_grid(cfg, [0.0, 0.0], np.eye(2)), quad_params(), cfg)
+    assert vfplab.pde._weights.cache_info().currsize == 1
+
+
 def test_run_vfp_takes_each_snapshot_from_one_call_over_its_interval(monkeypatch):
     # 10 steps sampled every 3: intervals of 3, 3, 3 and a short last one of 1
     cfg = default_grid_config(nx=32, nv=24, dt=1e-2)
@@ -485,8 +493,8 @@ def test_quadratic_stationary_marginal_matches_the_self_consistent_gaussian():
 def test_sine_stationary_point_is_its_own_local_equilibrium():
     cfg = default_grid_config()
     fstar = stationary_fixed_point(SINE_BOUNDARY, cfg)
-    attached = local_equilibrium(fstar, SINE_BOUNDARY)
-    err = np.abs(fstar.data - attached.data).sum() * fstar.cell_area()
+    attached = np.exp(np.add.outer(*local_equilibrium(fstar, SINE_BOUNDARY)))
+    err = np.abs(fstar.data - attached).sum() * fstar.cell_area()
     assert err < 1e-9
 
 
