@@ -28,40 +28,66 @@ from .gaussian import GaussianState, bures_w2, free_energy_particle_limit, \
 from .model import ModelParams, builtin_kernel, coupling_constants, finite_float, \
     smallness_holds, step_count
 from .output import write_csv, write_json
-from .particles import ParticleState, SimConfig, contraction_experiment, simulate
-from .pde import GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_to_binary, \
+from .particles import INTEGRATORS, ParticleState, SimConfig, contraction_experiment, simulate
+from .pde import SPLITTINGS, GridConfig, PhaseGrid, cfl_bound, gaussian_grid, grid_to_binary, \
     grid_to_csv, run_vfp, stationary_fixed_point, vfp_step, x_marginal
 
 FISHER_SLACK = 1.1
-MEMORY_BUDGET = 2 ** 31   # 2 GiB: GRID_ARRAYS full-size arrays and 2 (nx^2 + nv^2) cells for W2
+MEMORY_BUDGET = 2 ** 31   # 2 GiB for what a grid or particle run holds, checked as it is read
 GRID_ARRAYS = 20   # a grid run's tracemalloc peak at 128^2 is 17.1-18.2, whatever its snapshots
+PARTICLE_WORDS = 48   # a particle run's tracemalloc peak is at most 40 words a lane, per particle
+                      # the lane steps and per sample it records (see _config)
 
 __all__ = ["main"]
 
 
 # ---------------------------------------------------------------- config ----
+# SCHEMA maps each config key to (reader, default): the reader checks and converts a value, and
+# its docstring's first line states its rule; README's key table is rendered from SCHEMA.
 
-def _require_keys(section: dict, name: str, required: set[str], optional: set[str] = frozenset()):
+SECTIONS = ("model", "sim", "grid", "experiment", "output")
+REQUIRED = object()   # the default of a key that must be set; a default of None leaves it unset
+
+
+def _read(section, name: str, keys: dict, model: Optional[ModelParams] = None) -> dict:
+    """Section ``name`` by ``keys``: an unset key reads its default, or when that is a function,
+    its value for ``model``."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"config section {name!r} must be an object")
-    missing = required - set(section)
-    unknown = set(section) - required - optional
+    missing = {key for key, (_, default) in keys.items() if default is REQUIRED} - set(section)
+    unknown = set(section) - set(keys)
     if missing:
         raise ConfigurationError(f"config section {name!r} is missing keys {sorted(missing)}")
     if unknown:
         raise ConfigurationError(f"config section {name!r} has unknown keys {sorted(unknown)}")
+    label = "" if name in SECTIONS else name + " "   # the keys of a nested section: "initial mean"
+    values = {}
+    for key, (reader, default) in keys.items():
+        if key in section:
+            values[key] = reader(section[key], label + key)
+        elif default is not None:
+            values[key] = reader(default(model) if callable(default) else default, label + key)
+    return values
 
 
-def _count(value, name: str, minimum: int) -> int:
-    """A config count as an int; integral floats such as 2.0 pass, bools and 2.5 do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            value >= minimum and value % 1 == 0):
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+def _rule(text: str, read):
+    """``read``, with ``text`` as its docstring: its rule, as README's key table shows it."""
+    read.__doc__ = text
+    return read
+
+
+def _count(minimum: int):
+    """The reader of a count: an int; integral floats such as 2.0 pass, bools and 2.5 do not."""
+    def read(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+                value >= minimum and value % 1 == 0):
+            raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        return int(value)
+    return _rule(f"An integer >= {minimum}.", read)
 
 
 def _positive(value, name: str) -> float:
-    """A config number that must be finite and positive."""
+    """A finite number > 0."""
     value = finite_float(value, name)
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
@@ -69,17 +95,97 @@ def _positive(value, name: str) -> float:
 
 
 def _pair(value, name: str, entry=finite_float) -> list:
-    """A config list of exactly two entries, each read by ``entry``."""
+    """A list of 2 finite numbers."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigurationError(f"{name} must be a list of 2 entries, got {value!r}")
     return [entry(v, name) for v in value]
 
 
 def _flag(value, name: str) -> bool:
-    """A config switch: only the JSON literals true and false pass."""
+    """JSON true or false."""
     if not isinstance(value, bool):
         raise ConfigurationError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def _w2_samples(value, name: str) -> None:
+    """Deprecated: an integer from 1 to 4096, then ignored with a warning."""
+    if _count(1)(value, name) > MAX_ASSIGNMENT:
+        raise ConfigurationError(f"w2_samples must be at most {MAX_ASSIGNMENT}, got {value!r}")
+    print("warning: w2_samples is ignored: w2_grid is deterministic", file=sys.stderr)
+
+
+def _times(value, name: str) -> list:
+    """A list of finite numbers."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"times must be a list of numbers, got {value!r}")
+    return [finite_float(t, name) for t in value]
+
+
+def _n_values(value, name: str) -> list:
+    """A non-empty list of integers >= 2."""
+    if not (isinstance(value, list) and value):
+        raise ConfigurationError(f"n_values must be a non-empty list of integers >= 2, got {value!r}")
+    return [_count(2)(n, name) for n in value]
+
+
+def _gaussian(keys: dict):
+    """The reader of an ``initial`` section, whose keys ``keys`` reads."""
+    def read(section, name: str) -> GaussianState:
+        try:
+            return GaussianState(**_read(section, name, keys))
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid initial Gaussian: {exc}") from exc
+    read.keys = keys
+    return _rule("A Gaussian: an object of the keys below.", read)
+
+
+def _as_is(text: str):
+    """The reader of a value that a dataclass checks as it is built, or that nothing reads."""
+    return _rule(text, lambda value, name: value)
+
+
+MODEL = {"gamma": (finite_float, REQUIRED), "lambda": (finite_float, REQUIRED),
+         "kernel": (_rule("A kernel descriptor (below).",
+                          lambda value, name: builtin_kernel(value)), REQUIRED)}
+SIM = {"dt": (finite_float, 1e-3),
+       "integrator": (_as_is(f"One of {', '.join(INTEGRATORS)}."), "kinetic_splitting"),
+       "seed": (_rule("An integer in [0, 2^64).",
+                      lambda value, name: SimConfig(seed=_count(0)(value, name)).seed), 0),
+       "n_particles": (_count(2), 64)}
+GRID = {"Lx": (finite_float, 8.0), "Lv": (finite_float, 8.0),
+        "nx": (_count(1), 128), "nv": (_count(1), 128), "cfl_safety": (finite_float, 0.5),
+        "dt": (_rule('"auto" or a finite number.', lambda value, name:
+                     None if value == "auto" else finite_float(value, name)), "auto"),
+        "splitting": (_as_is(f"One of {', '.join(SPLITTINGS)}."), "strang")}
+INITIAL = {"mean": (_pair, [1.0, 0.0]),
+           "cov": (_rule("A 2x2 list of finite numbers, symmetric and positive definite.",
+                         lambda value, name: _pair(value, name, _pair)), [[1.0, 0.0], [0.0, 1.0]])}
+_initial = _gaussian(INITIAL)
+
+SCHEMA = {   # the sections each subcommand reads
+    "contraction": {"model": MODEL, "sim": SIM, "experiment": {
+        "horizon": (_positive, 20.0), "replicas": (_count(1), 4), "sample_dt": (_positive, 0.1)}},
+    "lyapunov": {"model": MODEL, "grid": GRID,
+                 "sim": {**dict.fromkeys(SIM, (_as_is("Any value: not read."), None)),
+                         "seed": SIM["seed"]},
+                 "experiment": {
+        "horizon": (_positive, 5.0), "sample_dt": (_positive, 0.25), "initial": (_initial, {}),
+        "witness_search": (_flag, _rule("true unless the kernel is even",
+                                        lambda model: not model.kernel.is_even)),
+        "w2_samples": (_w2_samples, None)}},
+    "fisher": {"model": MODEL, "grid": GRID, "experiment": {
+        "horizon": (_positive, 10.0), "sample_dt": (_positive, 0.25),
+        "stationary_start": (_flag, False), "initial": (_initial, {})}},
+    "stationary": {"model": MODEL, "grid": GRID, "experiment": {
+        "tol": (_positive, 1e-10), "max_iter": (_count(1), 10000)}},
+    "oracle": {"model": MODEL, "experiment": {
+        "initial": (_initial, {}), "times": (_times, [0.0, 0.5, 1.0, 2.0, 5.0]),
+        "n_values": (_n_values, [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])}},
+    "simulate": {"model": MODEL, "sim": SIM, "experiment": {
+        "horizon": (_positive, 1.0), "sample_dt": (_positive, 0.1),
+        "initial": (_gaussian({**INITIAL, "mean": (_pair, [0.0, 0.0])}), {})}},
+}
 
 
 def load_config(path: str) -> dict:
@@ -92,93 +198,54 @@ def load_config(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("top-level config must be a JSON object")
-    unknown = set(cfg) - {"model", "sim", "grid", "experiment", "output"}
+    unknown = set(cfg) - set(SECTIONS)
     if unknown:
         raise ConfigurationError(f"config has unknown top-level keys {sorted(unknown)}")
     return cfg
 
 
 def parse_model(cfg: dict) -> ModelParams:
-    section = cfg.get("model")
-    if section is None:
+    if cfg.get("model") is None:
         raise ConfigurationError("config needs a 'model' section")
-    _require_keys(section, "model", {"gamma", "lambda", "kernel"})
-    return ModelParams(gamma=finite_float(section["gamma"], "gamma"),
-                       lam=finite_float(section["lambda"], "lambda"),
-                       kernel=builtin_kernel(section["kernel"]))
+    model = _read(cfg["model"], "model", MODEL)
+    return ModelParams(gamma=model["gamma"], lam=model["lambda"], kernel=model["kernel"])
 
 
-def parse_seed(cfg: dict, seed_override: Optional[int]) -> int:
-    """``--seed`` if given, else ``sim.seed`` (default 0), checked as SimConfig checks a seed:
-    the only ``sim`` value it reads."""
+def _sim(cfg: dict, seed_override: Optional[int], keys: dict) -> dict:
+    """The ``sim`` section read by ``keys``; ``--seed`` replaces ``sim.seed`` unread."""
     section = cfg.get("sim", {})
-    _require_keys(section, "sim", set(), {"dt", "integrator", "seed", "n_particles"})
-    seed = section.get("seed", 0) if seed_override is None else seed_override
-    return SimConfig(seed=_count(seed, "seed", 0)).seed
+    if seed_override is not None and isinstance(section, dict):
+        section = {**section, "seed": seed_override}
+    return _read(section, "sim", keys)
 
 
 def parse_sim(cfg: dict, seed_override: Optional[int]) -> tuple[SimConfig, int]:
-    seed = parse_seed(cfg, seed_override)
-    section = cfg.get("sim", {})
-    sim = SimConfig(dt=finite_float(section.get("dt", 1e-3), "dt"),
-                    integrator=section.get("integrator", "kinetic_splitting"), seed=seed)
-    return sim, _count(section.get("n_particles", 64), "n_particles", 2)
+    sim = _sim(cfg, seed_override, SIM)
+    sim_config = SimConfig(dt=sim["dt"], integrator=sim["integrator"], seed=sim["seed"])
+    return sim_config, sim["n_particles"]
 
 
 def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
     """Grid geometry plus the requested dt (None means choose from the CFL budget)."""
-    section = cfg.get("grid", {})
-    _require_keys(section, "grid", set(),
-                  {"Lx", "Lv", "nx", "nv", "dt", "cfl_safety", "splitting"})
-    geometry = {
-        "Lx": finite_float(section.get("Lx", 8.0), "Lx"),
-        "Lv": finite_float(section.get("Lv", 8.0), "Lv"),
-        "nx": _count(section.get("nx", 128), "nx", 1),
-        "nv": _count(section.get("nv", 128), "nv", 1),
-        "cfl_safety": finite_float(section.get("cfl_safety", 0.5), "cfl_safety"),
-        "splitting": section.get("splitting", "strang"),
-    }
+    geometry = _read(cfg.get("grid", {}), "grid", GRID)
     nx, nv = geometry["nx"], geometry["nv"]
     if 8 * (GRID_ARRAYS * nx * nv + 2 * (nx * nx + nv * nv)) > MEMORY_BUDGET:
         raise ConfigurationError(f"grids exceed the memory budget of {MEMORY_BUDGET} bytes")
-    dt = section.get("dt", "auto")
-    if dt == "auto":
-        return geometry, None
-    return geometry, finite_float(dt, "dt")
+    return geometry, geometry.pop("dt")
 
 
-def _grid_config(geometry: dict, dt: Optional[float], params: ModelParams,
-                 initial: PhaseGrid) -> GridConfig:
-    if dt is None:
-        dt = 0.9 * geometry["cfl_safety"] * cfl_bound(initial, params)
-    return GridConfig(dt=dt, **geometry)
+def parse_initial(section) -> GaussianState:
+    """An experiment's ``initial`` Gaussian; None reads every default."""
+    return _initial({} if section is None else section, "initial")
 
 
-def parse_initial(section, default_mean=(1.0, 0.0)) -> GaussianState:
-    if section is None:
-        return GaussianState(mean=list(default_mean), cov=[[1.0, 0.0], [0.0, 1.0]])
-    _require_keys(section, "initial", set(), {"mean", "cov"})
-    mean = _pair(section.get("mean", list(default_mean)), "initial mean")
-    cov = _pair(section.get("cov", [[1.0, 0.0], [0.0, 1.0]]), "initial cov", _pair)
-    try:
-        return GaussianState(mean=mean, cov=cov)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid initial Gaussian: {exc}") from exc
-
-
-def _experiment(cfg: dict, allowed: set[str]) -> dict:
+def _experiment(cfg: dict, keys: dict, model: ModelParams) -> dict:
+    """The ``experiment`` section by ``keys``; ``initial`` excludes ``"stationary_start": true``."""
     section = cfg.get("experiment", {})
-    _require_keys(section, "experiment", set(), allowed)
-    return section
-
-
-def _run_parameters(params: ModelParams, grid: Optional[GridConfig] = None, **run) -> dict:
-    """The run parameters every JSON report carries: the model, the grid geometry, then ``run``."""
-    out = {"kernel": params.kernel.name, "gamma": params.gamma, "lambda": params.lam}
-    if grid is not None:
-        out["grid"] = {"Lx": grid.Lx, "Lv": grid.Lv, "nx": grid.nx, "nv": grid.nv,
-                       "splitting": grid.splitting}
-    return {**out, **run}
+    if isinstance(section, dict) and section.get("stationary_start") is True \
+            and "initial" in section:
+        raise ConfigurationError("experiment 'initial' cannot be set with 'stationary_start': true")
+    return _read(section, "experiment", keys, model)
 
 
 def _out_prefix(cfg: dict, args) -> str:
@@ -190,22 +257,57 @@ def _out_prefix(cfg: dict, args) -> str:
     return prefix
 
 
+def _config(args, command: str) -> argparse.Namespace:
+    """Everything ``command`` reads from ``args`` and the sections SCHEMA gives it, all checked,
+    with a particle run's memory, before anything is computed."""
+    cfg, sections = load_config(args.config), SCHEMA[command]
+    run = argparse.Namespace(params=parse_model(cfg))
+    if sections.get("sim") is SIM:
+        run.sim, run.n = parse_sim(cfg, args.seed)
+    elif "sim" in sections:   # lyapunov: only the seed, which its report echoes
+        run.seed = _sim(cfg, args.seed, sections["sim"])["seed"]
+    if "grid" in sections:
+        run.geometry, run.dt = parse_grid(cfg)
+        run.probe = GridConfig(dt=1.0, **run.geometry)   # the geometry, before "auto" picks a dt
+    vars(run).update(_experiment(cfg, sections["experiment"], run.params))
+    if sections.get("sim") is SIM:
+        run.n_steps = step_count(run.horizon, run.sim.dt, "horizon")
+        run.record_every = step_count(run.sample_dt, run.sim.dt, "sample_dt")
+        # each contraction replica steps 2n particles and writes a CSV row a sample; simulate's
+        # n particles each step alone and write a row a sample
+        lanes, width = (run.replicas, 2 * run.n) if command == "contraction" else (run.n, 1)
+        samples = run.n_steps // run.record_every + 2
+        if 8 * PARTICLE_WORDS * lanes * (width + samples) > MEMORY_BUDGET:
+            raise ConfigurationError(
+                f"particle runs exceed the memory budget of {MEMORY_BUDGET} bytes")
+    run.prefix = _out_prefix(cfg, args)
+    return run
+
+
+def _grid_config(run: argparse.Namespace, initial: PhaseGrid) -> GridConfig:
+    """The run's grid; an "auto" dt is 0.9 cfl_safety times the CFL bound of ``initial``."""
+    dt = 0.9 * run.probe.cfl_safety * cfl_bound(initial, run.params) if run.dt is None else run.dt
+    return GridConfig(dt=dt, **run.geometry)
+
+
+def _run_parameters(params: ModelParams, grid: Optional[GridConfig] = None, **run) -> dict:
+    """The run parameters every JSON report carries: the model, the grid geometry, then ``run``."""
+    out = {"kernel": params.kernel.name, "gamma": params.gamma, "lambda": params.lam}
+    if grid is not None:
+        out["grid"] = {"Lx": grid.Lx, "Lv": grid.Lv, "nx": grid.nx, "nv": grid.nv,
+                       "splitting": grid.splitting}
+    return {**out, **run}
+
+
 # ----------------------------------------------------------- subcommands ----
 
 def cmd_contraction(args) -> int:
-    cfg = load_config(args.config)
-    params = parse_model(cfg)
-    sim, n = parse_sim(cfg, args.seed)
-    exp = _experiment(cfg, {"horizon", "replicas", "sample_dt"})
-    sample_dt = exp.get("sample_dt")
-    horizon = _positive(exp.get("horizon", 20.0), "horizon")
-    replicas = _count(exp.get("replicas", 4), "replicas", 1)
-    prefix = _out_prefix(cfg, args)
-    report = contraction_experiment(
-        params, sim, n, horizon=horizon, replicas=replicas,
-        sample_dt=None if sample_dt is None else _positive(sample_dt, "sample_dt"))
-    write_json(prefix + "_contraction.json", _run_parameters(
-        params, dt=sim.dt, horizon=horizon, integrator=sim.integrator, n_particles=n,
+    run = _config(args, "contraction")
+    params, sim, n, replicas = run.params, run.sim, run.n, run.replicas
+    report = contraction_experiment(params, sim, n, horizon=run.horizon, replicas=replicas,
+                                    sample_dt=run.sample_dt)
+    write_json(run.prefix + "_contraction.json", _run_parameters(
+        params, dt=sim.dt, horizon=run.horizon, integrator=sim.integrator, n_particles=n,
         replicas=replicas, seed=sim.seed, **report.to_dict()))
     rows = []
     for r in range(replicas):
@@ -215,7 +317,7 @@ def cmd_contraction(args) -> int:
             rows.append((r, float(t), float(report.modified_norm_sq[r, s]),
                          float(report.euclid_sq[r, s]), float(m0 * decay),
                          float(4.0 * e0 * decay)))
-    write_csv(prefix + "_contraction.csv",
+    write_csv(run.prefix + "_contraction.csv",
               ["replica", "t", "modified_norm_sq", "euclid_sq",
                "envelope_modified", "envelope_euclid"], rows)
     for w in report.warnings:
@@ -254,74 +356,49 @@ def _lyapunov_witness(params: ModelParams, gcfg: GridConfig, baseline: PhaseGrid
 
 
 def cmd_lyapunov(args) -> int:
-    cfg = load_config(args.config)
-    params = parse_model(cfg)
-    seed = parse_seed(cfg, args.seed)
-    geometry, dt = parse_grid(cfg)
-    exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "w2_samples",
-                            "witness_search"})
-    horizon = _positive(exp.get("horizon", 5.0), "horizon")
-    sample_dt = _positive(exp.get("sample_dt", 0.25), "sample_dt")
-    witness_search = _flag(exp.get("witness_search", not params.kernel.is_even), "witness_search")
-    if "w2_samples" in exp:   # deprecated: still checked, then ignored with a warning
-        if _count(exp["w2_samples"], "w2_samples", 1) > MAX_ASSIGNMENT:
-            raise ConfigurationError(
-                f"w2_samples must be at most {MAX_ASSIGNMENT}, got {exp['w2_samples']!r}")
-        print("warning: w2_samples is ignored: w2_grid is deterministic", file=sys.stderr)
-    prefix = _out_prefix(cfg, args)
-    initial_g = parse_initial(exp.get("initial"))
-    probe = GridConfig(dt=1.0, **geometry)
-    grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-    gcfg = _grid_config(geometry, dt, params, grid0)
+    run = _config(args, "lyapunov")
+    params = run.params
+    grid0 = gaussian_grid(run.probe, run.initial.mean, run.initial.cov)
+    gcfg = _grid_config(run, grid0)
 
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
 
     quadratic = params.kernel.kind == "quadratic_linear"
-    rows = run_vfp(grid0, params, gcfg, horizon, sample_dt, lambda snap: (
+    rows = run_vfp(grid0, params, gcfg, run.horizon, run.sample_dt, lambda snap: (
         float(snap.t), entropy(snap), classical_free_energy(snap, params),
         quadratic_free_energy(snap, params) if quadratic else float("nan"),
         fisher_information(snap, params, np.eye(2)),
         fisher_information(snap, params, constants.A), w2_grid(snap, target), snap.mass()))
 
-    report = _run_parameters(params, gcfg, dt=gcfg.dt, horizon=horizon, seed=seed,
+    report = _run_parameters(params, gcfg, dt=gcfg.dt, horizon=run.horizon, seed=run.seed,
                              smallness=smallness_holds(params), witness=None)
     if quadratic:
         increments = np.diff([row[3] for row in rows])   # F_quadratic
         report["max_F_increase"] = float(increments.max()) if increments.size else 0.0
         report["F_monotone"] = bool(increments.size == 0 or increments.max() <= 1e-6)
-    if witness_search:
+    if run.witness_search:
         report["witness"] = _lyapunov_witness(params, gcfg, target)
-    write_csv(prefix + "_lyapunov.csv",   # after the witness probes, which can still fail
+    write_csv(run.prefix + "_lyapunov.csv",   # after the witness probes, which can still fail
               ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
                "w2_to_stationary", "mass"], rows)
-    write_json(prefix + "_lyapunov.json", report)
+    write_json(run.prefix + "_lyapunov.json", report)
     return 0
 
 
 def cmd_fisher(args) -> int:
-    cfg = load_config(args.config)
-    params = parse_model(cfg)
-    geometry, dt = parse_grid(cfg)
-    exp = _experiment(cfg, {"horizon", "sample_dt", "initial", "stationary_start"})
-    horizon = _positive(exp.get("horizon", 10.0), "horizon")
-    sample_dt = _positive(exp.get("sample_dt", 0.25), "sample_dt")
-    prefix = _out_prefix(cfg, args)
+    run = _config(args, "fisher")
+    params = run.params
     constants = coupling_constants(params.gamma)
     rate = constants.contraction_rate
 
-    probe = GridConfig(dt=1.0, **geometry)
-    if _flag(exp.get("stationary_start", False), "stationary_start"):
-        if "initial" in exp:
-            raise ConfigurationError(
-                "experiment 'initial' cannot be set with 'stationary_start': true")
-        grid0 = stationary_fixed_point(params, probe)
+    if run.stationary_start:
+        grid0 = stationary_fixed_point(params, run.probe)
     else:
-        initial_g = parse_initial(exp.get("initial"))
-        grid0 = gaussian_grid(probe, initial_g.mean, initial_g.cov)
-    gcfg = _grid_config(geometry, dt, params, grid0)
+        grid0 = gaussian_grid(run.probe, run.initial.mean, run.initial.cov)
+    gcfg = _grid_config(run, grid0)
 
-    fisher = run_vfp(grid0, params, gcfg, horizon, sample_dt, lambda snap: (
+    fisher = run_vfp(grid0, params, gcfg, run.horizon, run.sample_dt, lambda snap: (
         float(snap.t), fisher_information(snap, params, constants.A),
         fisher_information(snap, params, np.eye(2))))
     _, i_a0, i_i0 = fisher[0]
@@ -329,11 +406,11 @@ def cmd_fisher(args) -> int:
             for t, i_a, i_i in fisher]
     violated = any(i_a > env_a * FISHER_SLACK or i_i > env_i * FISHER_SLACK
                    for _, i_a, i_i, env_a, env_i in rows)
-    write_csv(prefix + "_fisher.csv",
+    write_csv(run.prefix + "_fisher.csv",
               ["t", "fisher_A", "fisher_I", "envelope_A", "envelope_I"], rows)
-    write_json(prefix + "_fisher.json", _run_parameters(
-        params, gcfg, dt=gcfg.dt, horizon=horizon, rate=rate, smallness=smallness_holds(params),
-        envelope_ok=not violated, slack=FISHER_SLACK))
+    write_json(run.prefix + "_fisher.json", _run_parameters(
+        params, gcfg, dt=gcfg.dt, horizon=run.horizon, rate=rate,
+        smallness=smallness_holds(params), envelope_ok=not violated, slack=FISHER_SLACK))
     if violated and smallness_holds(params):
         print("warning: fisher envelope violated inside the guaranteed regime",
               file=sys.stderr)
@@ -345,77 +422,53 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    cfg = load_config(args.config)
-    params = parse_model(cfg)
-    geometry, _ = parse_grid(cfg)
-    probe = GridConfig(dt=1.0, **geometry)   # the fixed point reads only the geometry
-    exp = _experiment(cfg, {"tol", "max_iter"})
-    tol = _positive(exp.get("tol", 1e-10), "tol")
-    max_iter = _count(exp.get("max_iter", 10000), "max_iter", 1)
-    prefix = _out_prefix(cfg, args)
-    grid = stationary_fixed_point(params, probe, tol=tol, max_iter=max_iter)
-    grid_to_csv(grid, prefix + "_stationary.csv")
-    grid_to_binary(grid, prefix + "_stationary")
+    run = _config(args, "stationary")   # the fixed point reads only the grid geometry
+    params = run.params
+    grid = stationary_fixed_point(params, run.probe, tol=run.tol, max_iter=run.max_iter)
+    grid_to_csv(grid, run.prefix + "_stationary.csv")
+    grid_to_binary(grid, run.prefix + "_stationary")
     constants = coupling_constants(params.gamma)
     xc, w = x_marginal(grid)
-    write_json(prefix + "_stationary_summary.json", _run_parameters(
-        params, probe, mass=grid.mass(), mean_x=float(xc @ w),
+    write_json(run.prefix + "_stationary_summary.json", _run_parameters(
+        params, run.probe, mass=grid.mass(), mean_x=float(xc @ w),
         fisher_A=fisher_information(grid, params, constants.A),
         smallness=smallness_holds(params)))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
-    params = parse_model(cfg)
-    exp = _experiment(cfg, {"initial", "times", "n_values"})
-    initial = parse_initial(exp.get("initial"))
-    times = exp.get("times", [0.0, 0.5, 1.0, 2.0, 5.0])
-    n_values = exp.get("n_values", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
-    if not isinstance(times, list):
-        raise ConfigurationError(f"times must be a list of numbers, got {times!r}")
-    if not (isinstance(n_values, list) and n_values):
-        raise ConfigurationError(f"n_values must be a non-empty list of integers >= 2, got {n_values!r}")
-    times = np.array([finite_float(t, "times") for t in times])
-    n_values = [_count(n, "n_values", 2) for n in n_values]
-    prefix = _out_prefix(cfg, args)
-
-    states = moment_flow(initial, params, times)
-    target = stationary_gaussian(params)
+    run = _config(args, "oracle")
+    params, initial = run.params, run.initial
+    try:
+        states = moment_flow(initial, params, run.times)
+        target = stationary_gaussian(params)
+    except ValueError as exc:   # from GaussianState: the flow left the finite Gaussians
+        raise VfpError(f"the Gaussian moment flow cannot be represented: {exc}") from exc
     flow = [{"t": float(t), "mean": s.mean.tolist(), "cov": s.cov.tolist(),
              "bures_to_stationary": bures_w2(s, target)}
-            for t, s in zip(times, states)]
+            for t, s in zip(run.times, states)]
     limit = free_energy_quadratic(initial, params)
     # For every N the equilibrium's position mean is -lam*b, the stationary one.
     table = [{"n": n, "free_energy": free_energy_particle_limit(initial, params, n),
               "gibbs_mean_x": float(target.mean[0])}
-             for n in n_values]
-    write_json(prefix + "_oracle.json", _run_parameters(
+             for n in run.n_values]
+    write_json(run.prefix + "_oracle.json", _run_parameters(
         params, stationary_gaussian={"mean": target.mean.tolist(), "cov": target.cov.tolist()},
         moment_flow=flow, free_energy_quadratic=limit, free_energy_particle_limit=table))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    params = parse_model(cfg)
-    sim, n = parse_sim(cfg, args.seed)
-    exp = _experiment(cfg, {"horizon", "sample_dt", "initial"})
-    horizon = _positive(exp.get("horizon", 1.0), "horizon")
-    sample_dt = _positive(exp.get("sample_dt", 0.1), "sample_dt")
-    prefix = _out_prefix(cfg, args)
-    initial = parse_initial(exp.get("initial"), default_mean=(0.0, 0.0))
-    rng = np.random.default_rng([sim.seed, 424242])
-    chol = np.linalg.cholesky(initial.cov)
-    draws = rng.standard_normal((2, n))
-    xv = initial.mean[:, None] + chol @ draws
+    run = _config(args, "simulate")
+    rng = np.random.default_rng([run.sim.seed, 424242])
+    chol = np.linalg.cholesky(run.initial.cov)
+    draws = rng.standard_normal((2, run.n))
+    xv = run.initial.mean[:, None] + chol @ draws
     state = ParticleState(x=xv[0], v=xv[1])
-    n_steps = step_count(horizon, sim.dt, "horizon")
-    record_every = step_count(sample_dt, sim.dt, "sample_dt")
-    snaps = simulate(state, params, sim, n_steps, record_every=record_every)
+    snaps = simulate(state, run.params, run.sim, run.n_steps, record_every=run.record_every)
     rows = ((float(s.t), i, float(s.x[i]), float(s.v[i]))
             for s in snaps for i in range(s.n))
-    write_csv(prefix + "_trajectory.csv", ["t", "i", "x", "v"], rows)
+    write_csv(run.prefix + "_trajectory.csv", ["t", "i", "x", "v"], rows)
     return 0
 
 
@@ -428,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "contraction, free-energy decay, twisted Fisher information, "
                     "steady states, Gaussian oracles, and raw simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("contraction", "lyapunov", "fisher", "stationary", "oracle", "simulate"):
+    for name in SCHEMA:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output file prefix")

@@ -183,13 +183,16 @@ def w2_grid(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
     """W2 between grid densities as the root of a debiased Sinkhorn divergence; deterministic.
 
     S = OT_e(f, g) - OT_e(f, f)/2 - OT_e(g, g)/2 on the cell masses (cells below MASK empty),
-    blur e = max(W2_EPS, d^2/700) with d the longer span of cell centres, so no entry of the
-    Gibbs kernel Kx (x) Kv underflows (Feydy et al. 2019).  S has no O(e) bias: at e = 0.5 it is
-    within 5e-3 of exact for unit-scale Gaussians at 128^2 on [-6, 6]^2; e = 5 on [-30, 30]^2
-    errs by up to 12%.  Every product stays on one BLAS thread (see SERIAL_GEMM).
+    blur e = max(W2_EPS, d^2/700, h^2/4) with d the longer span of cell centres, so no entry of
+    the Gibbs kernel Kx (x) Kv underflows (Feydy et al. 2019), and h the wider cell, since a
+    blur below the cell width slows Sinkhorn to O(1/steps) on coarse grids.  S has no O(e)
+    bias: at e = 0.5 it is within 5e-3 of exact for unit-scale Gaussians at 128^2 on
+    [-6, 6]^2; e = 5 on [-30, 30]^2 errs by up to 12%.  Every product stays on one BLAS
+    thread (see SERIAL_GEMM).
     """
     _same_geometry(grid_f, grid_g)
-    eps = max(W2_EPS, max(2.0 * grid_f.Lx - grid_f.dx, 2.0 * grid_f.Lv - grid_f.dv) ** 2 / 700.0)
+    eps = max(W2_EPS, max(2.0 * grid_f.Lx - grid_f.dx, 2.0 * grid_f.Lv - grid_f.dv) ** 2 / 700.0,
+              max(grid_f.dx, grid_f.dv) ** 2 / 4.0)
     kx, kv = (np.exp(-np.subtract.outer(c, c) ** 2 / eps)
               for c in (grid_f.x_centers, grid_f.v_centers))
     p, q = (np.where(g.data >= MASK, g.data, 0.0) for g in (grid_f, grid_g))

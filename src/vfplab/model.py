@@ -103,7 +103,9 @@ def _as_float_array(x):
 
 
 def finite_float(value, name: str) -> float:
-    """A config number as a float; ConfigurationError unless it is a finite int or float."""
+    """A finite number.
+
+    A config number as a float; ConfigurationError unless it is a finite int or float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     return float(value)

@@ -1,6 +1,7 @@
 """CLI subcommands: artifacts, exit codes, reproducibility, validation order."""
 
 import json
+import pathlib
 import subprocess
 import sys
 import threading
@@ -570,6 +571,43 @@ def test_fisher_stationary_start_rejects_an_initial_state(tmp_path, capsys):
     assert not list(tmp_path.glob("run*"))
 
 
+def schema_entries(name, keys):
+    """(dotted key, reader, default) for each key of ``keys`` and of the sections nested in it."""
+    for key, (reader, default) in keys.items():
+        yield f"{name}.{key}", reader, default
+        yield from schema_entries(f"{name}.{key}", getattr(reader, "keys", {}))
+
+
+def render_config_keys() -> str:
+    """README's config-key table: one row per key, rule and default, with its subcommands."""
+    rows, first = {}, {}
+    for section in vfplab.cli.SECTIONS:
+        for command, sections in vfplab.cli.SCHEMA.items():
+            for key, reader, default in schema_entries(section, sections.get(section, {})):
+                if default is vfplab.cli.REQUIRED:
+                    shown = "required"
+                elif default is None:
+                    shown = "unset"
+                else:
+                    shown = default.__doc__ if callable(default) else f"`{json.dumps(default)}`"
+                rule = reader.__doc__.splitlines()[0]
+                rows.setdefault((key, rule, shown), []).append(command)
+                first.setdefault(key, len(first))
+    lines = ["| key | value | default | subcommands |", "| --- | --- | --- | --- |"]
+    for key, rule, shown in sorted(rows, key=lambda row: first[row[0]]):
+        commands = rows[key, rule, shown]
+        used_by = "all" if len(commands) == len(vfplab.cli.SCHEMA) else ", ".join(commands)
+        lines.append(f"| `{key}` | {rule} | {shown} | {used_by} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_the_readme_key_table_is_the_rendered_schema():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start, end = "<!-- config keys: rendered from vfplab.cli.SCHEMA -->\n", "<!-- end config keys -->"
+    table = readme[readme.index(start) + len(start):readme.index(end)]
+    assert table == render_config_keys(), "README's key table should read:\n" + render_config_keys()
+
+
 def refuse_to_run(monkeypatch, *names):
     """Make each of ``names`` in the CLI fail if called, so a test allocates no grid with it."""
     def refuse(*args, **kwargs):
@@ -628,6 +666,42 @@ def test_the_memory_budget_counts_the_w2_kernels_of_a_narrow_grid(tmp_path, caps
     config["grid"].update(nx=4, nv=20_000)
     assert main(["lyapunov", "--config", write_config(tmp_path / "w.json", config)]) == 1
     assert f"memory budget of {vfplab.cli.MEMORY_BUDGET} bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, update", [
+    ("contraction", "sim", {"n_particles": 1e12}),           # 7.28 TiB for the coupled states
+    ("contraction", "experiment", {"replicas": 1e12}),       # a Python loop before any array
+    ("simulate", "sim", {"n_particles": 1e12}),
+    ("simulate", "experiment", {"horizon": 1e7, "sample_dt": 1e-3}),   # 2e9 snapshots kept
+])
+def test_a_particle_run_beyond_the_memory_budget_exits_one_before_any_array(
+        tmp_path, capsys, monkeypatch, command, section, update):
+    refuse_to_run(monkeypatch, "contraction_experiment", "simulate", "ParticleState")
+    config = small_config(command, tmp_path)
+    config[section].update(update)
+    assert main([command, "--config", write_config(tmp_path / "big.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert f"memory budget of {vfplab.cli.MEMORY_BUDGET} bytes" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("command, n, replicas, samples", [
+    ("contraction", 2, 1, 1000),     # one replica: the per-sample arrays and CSV rows dominate
+    ("contraction", 2000, 2, 2),     # the coupled states and the force dominate
+    ("simulate", 2, 1, 1000),        # every snapshot is kept until the CSV is written
+    ("simulate", 200, 1, 50),
+])
+def test_a_particle_run_holds_at_most_its_budgeted_words(tmp_path, command, n, replicas, samples):
+    # the budget counts PARTICLE_WORDS words a lane (a contraction replica, a simulated particle)
+    # for each particle it steps and each sample it records
+    config = small_config(command, tmp_path)
+    config["sim"].update(n_particles=n, dt=0.01)
+    config["experiment"].update(horizon=samples * 0.01, sample_dt=0.01)
+    if command == "contraction":
+        config["experiment"]["replicas"] = replicas
+    peak = traced_peak([command, "--config", write_config(tmp_path / "p.json", config)])
+    lanes, width = (replicas, 2 * n) if command == "contraction" else (n, 1)
+    assert peak < 8 * vfplab.cli.PARTICLE_WORDS * lanes * (width + samples + 2)
 
 
 @pytest.mark.parametrize("command", ["contraction", "lyapunov", "simulate"])

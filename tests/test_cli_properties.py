@@ -4,11 +4,13 @@ traceback, and a run that exits 1 or 2 leaves no artifact behind."""
 import json
 import os
 import tempfile
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.errors import NonInteractiveExampleWarning
 
-from vfplab.cli import main
+from vfplab.cli import SCHEMA, main
 
 EXIT_CODES = {0, 1, 2, 3}   # README: success, configuration, divergence, envelope violation
 
@@ -37,7 +39,9 @@ grids = st.fixed_dictionaries({
     "dt": st.just("auto") | st.floats(1e-3, 0.05),
     "cfl_safety": st.floats(0.1, 1.0), "splitting": st.sampled_from(["lie", "strang"])})
 sims = st.fixed_dictionaries({"dt": st.floats(1e-3, 0.05), "seed": st.integers(0, 2 ** 64 - 1),
-                              "n_particles": st.integers(2, 8)})
+                              "n_particles": st.integers(2, 8),
+                              "integrator": st.sampled_from(["euler_maruyama",
+                                                             "kinetic_splitting"])})
 horizons, sample_dts = st.floats(0.01, 0.5), st.floats(0.01, 0.5)
 
 CONFIGS = {
@@ -49,7 +53,9 @@ CONFIGS = {
                                "initial": initials})}),
     "lyapunov": st.fixed_dictionaries({"model": models, "grid": grids, "experiment":
         st.fixed_dictionaries({"horizon": horizons, "sample_dt": sample_dts,
-                               "initial": initials})}),
+                               "initial": initials}, optional={
+            "witness_search": st.booleans(), "w2_samples": st.integers(0, 5000)})},
+        optional={"sim": sims}),
     "fisher": st.fixed_dictionaries({"model": models, "grid": grids, "experiment":
         st.fixed_dictionaries({"horizon": horizons, "sample_dt": sample_dts}, optional={
             "initial": initials, "stationary_start": st.booleans()})}),
@@ -87,6 +93,13 @@ def tiny_dt(command):
                             "experiment": {"initial": {"mean": [1000, 0]}}}), seed=None)
 @example(case=("oracle", {"model": {"gamma": 1.0, "lambda": 0.1, "kernel": {
     "type": "gaussian_bump", "height": 1.0, "width": 1e-200}}}), seed=None)
+# the moment flow of these overflows to a non-finite or indefinite covariance
+@example(case=("oracle", {"model": {**QUADRATIC, "gamma": 1e300}}), seed=None)
+@example(case=("oracle", {"model": {"gamma": 1.0, "lambda": 1e300, "kernel": {
+    "type": "quadratic_linear", "a": 1e300, "b": 1.0}}}), seed=None)
+@example(case=("oracle", {"model": QUADRATIC, "experiment": {
+    "initial": {"cov": [[1e308, 0], [0, 1e308]]}}}), seed=None)
+@example(case=("oracle", {"model": QUADRATIC, "experiment": {"times": [1.7e308]}}), seed=None)
 def test_main_exits_with_a_documented_code_and_no_artifact_on_failure(case, seed):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -99,3 +112,30 @@ def test_main_exits_with_a_documented_code_and_no_artifact_on_failure(case, seed
         assert code in EXIT_CODES
         if code in (1, 2):
             assert sorted(os.listdir(tmp)) == ["config.json"]
+
+
+def keys_of(config, prefix=""):
+    """The dotted name of every key in ``config`` and in the objects nested in it."""
+    for key, value in config.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from keys_of(value, f"{prefix}{key}.")
+
+
+def schema_keys(keys, prefix):
+    """The dotted name of every key of a schema section and of the sections nested in it."""
+    for key, (reader, _) in keys.items():
+        yield prefix + key
+        yield from schema_keys(getattr(reader, "keys", {}), f"{prefix}{key}.")
+
+
+def test_the_strategies_draw_every_key_the_schema_gives_a_subcommand():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonInteractiveExampleWarning)
+        for command, strategy in CONFIGS.items():
+            drawn = set()
+            for _ in range(60):
+                drawn.update(keys_of(strategy.example()))
+            wanted = {key for section, keys in SCHEMA[command].items()
+                      for key in schema_keys(keys, section + ".")}
+            assert sorted(wanted - drawn) == [], command
