@@ -225,13 +225,14 @@ def parse_sim(cfg: dict, seed_override: Optional[int]) -> tuple[SimConfig, int]:
     return sim_config, sim["n_particles"]
 
 
-def parse_grid(cfg: dict) -> tuple[dict, Optional[float]]:
-    """Grid geometry plus the requested dt (None means choose from the CFL budget)."""
+def parse_grid(cfg: dict) -> tuple[dict, float]:
+    """Grid geometry plus its dt; "auto" is 0.9 cfl_safety times the geometry's CFL bound."""
     geometry = _read(cfg.get("grid", {}), "grid", GRID)
     nx, nv = geometry["nx"], geometry["nv"]
     if 8 * (GRID_ARRAYS * nx * nv + 2 * (nx * nx + nv * nv)) > MEMORY_BUDGET:
         raise ConfigurationError(f"grids exceed the memory budget of {MEMORY_BUDGET} bytes")
-    return geometry, geometry.pop("dt")
+    dt, grid = geometry.pop("dt"), GridConfig(**geometry)   # checks what cfl_bound reads
+    return geometry, 0.9 * grid.cfl_safety * cfl_bound(grid, parse_model(cfg)) if dt is None else dt
 
 
 def parse_initial(section) -> GaussianState:
@@ -267,8 +268,8 @@ def _config(args, command: str) -> argparse.Namespace:
     elif "sim" in sections:   # lyapunov: only the seed, which its report echoes
         run.seed = _sim(cfg, args.seed, sections["sim"])["seed"]
     if "grid" in sections:
-        run.geometry, run.dt = parse_grid(cfg)
-        run.probe = GridConfig(dt=1.0, **run.geometry)   # the geometry, before "auto" picks a dt
+        geometry, dt = parse_grid(cfg)
+        run.grid = GridConfig(dt=dt, **geometry)
     vars(run).update(_experiment(cfg, sections["experiment"], run.params))
     if sections.get("sim") is SIM:
         run.n_steps = step_count(run.horizon, run.sim.dt, "horizon")
@@ -282,12 +283,6 @@ def _config(args, command: str) -> argparse.Namespace:
                 f"particle runs exceed the memory budget of {MEMORY_BUDGET} bytes")
     run.prefix = _out_prefix(cfg, args)
     return run
-
-
-def _grid_config(run: argparse.Namespace, initial: PhaseGrid) -> GridConfig:
-    """The run's grid; an "auto" dt is 0.9 cfl_safety times the CFL bound of ``initial``."""
-    dt = 0.9 * run.probe.cfl_safety * cfl_bound(initial, run.params) if run.dt is None else run.dt
-    return GridConfig(dt=dt, **run.geometry)
 
 
 def _run_parameters(params: ModelParams, grid: Optional[GridConfig] = None, **run) -> dict:
@@ -309,14 +304,11 @@ def cmd_contraction(args) -> int:
     write_json(run.prefix + "_contraction.json", _run_parameters(
         params, dt=sim.dt, horizon=run.horizon, integrator=sim.integrator, n_particles=n,
         replicas=replicas, seed=sim.seed, **report.to_dict()))
-    rows = []
-    for r in range(replicas):
-        m0, e0 = report.modified_norm_sq[r, 0], report.euclid_sq[r, 0]
-        for s, t in enumerate(report.times):
-            decay = math.exp(-report.rate * t)
-            rows.append((r, float(t), float(report.modified_norm_sq[r, s]),
-                         float(report.euclid_sq[r, s]), float(m0 * decay),
-                         float(4.0 * e0 * decay)))
+    mods, eucs, decays = report.modified_norm_sq, report.euclid_sq, [
+        math.exp(-report.rate * t) for t in report.times]
+    rows = ((r, float(t), float(mods[r, s]), float(eucs[r, s]), float(mods[r, 0] * decay),
+             float(4.0 * eucs[r, 0] * decay))   # made one at a time as the CSV is written
+            for r in range(replicas) for s, (t, decay) in enumerate(zip(report.times, decays)))
     write_csv(run.prefix + "_contraction.csv",
               ["replica", "t", "modified_norm_sq", "euclid_sq",
                "envelope_modified", "envelope_euclid"], rows)
@@ -357,9 +349,8 @@ def _lyapunov_witness(params: ModelParams, gcfg: GridConfig, baseline: PhaseGrid
 
 def cmd_lyapunov(args) -> int:
     run = _config(args, "lyapunov")
-    params = run.params
-    grid0 = gaussian_grid(run.probe, run.initial.mean, run.initial.cov)
-    gcfg = _grid_config(run, grid0)
+    params, gcfg = run.params, run.grid
+    grid0 = gaussian_grid(gcfg, run.initial.mean, run.initial.cov)
 
     constants = coupling_constants(params.gamma)
     target = stationary_fixed_point(params, gcfg)
@@ -379,24 +370,20 @@ def cmd_lyapunov(args) -> int:
         report["F_monotone"] = bool(increments.size == 0 or increments.max() <= 1e-6)
     if run.witness_search:
         report["witness"] = _lyapunov_witness(params, gcfg, target)
-    write_csv(run.prefix + "_lyapunov.csv",   # after the witness probes, which can still fail
+    write_json(run.prefix + "_lyapunov.json", report)   # strict, so before the CSV
+    write_csv(run.prefix + "_lyapunov.csv",
               ["t", "entropy", "E_classical", "F_quadratic", "fisher_I", "fisher_A",
                "w2_to_stationary", "mass"], rows)
-    write_json(run.prefix + "_lyapunov.json", report)
     return 0
 
 
 def cmd_fisher(args) -> int:
     run = _config(args, "fisher")
-    params = run.params
+    params, gcfg = run.params, run.grid
     constants = coupling_constants(params.gamma)
     rate = constants.contraction_rate
-
-    if run.stationary_start:
-        grid0 = stationary_fixed_point(params, run.probe)
-    else:
-        grid0 = gaussian_grid(run.probe, run.initial.mean, run.initial.cov)
-    gcfg = _grid_config(run, grid0)
+    grid0 = (stationary_fixed_point(params, gcfg) if run.stationary_start
+             else gaussian_grid(gcfg, run.initial.mean, run.initial.cov))
 
     fisher = run_vfp(grid0, params, gcfg, run.horizon, run.sample_dt, lambda snap: (
         float(snap.t), fisher_information(snap, params, constants.A),
@@ -406,11 +393,11 @@ def cmd_fisher(args) -> int:
             for t, i_a, i_i in fisher]
     violated = any(i_a > env_a * FISHER_SLACK or i_i > env_i * FISHER_SLACK
                    for _, i_a, i_i, env_a, env_i in rows)
-    write_csv(run.prefix + "_fisher.csv",
-              ["t", "fisher_A", "fisher_I", "envelope_A", "envelope_I"], rows)
-    write_json(run.prefix + "_fisher.json", _run_parameters(
+    write_json(run.prefix + "_fisher.json", _run_parameters(   # strict, so before the CSV
         params, gcfg, dt=gcfg.dt, horizon=run.horizon, rate=rate,
         smallness=smallness_holds(params), envelope_ok=not violated, slack=FISHER_SLACK))
+    write_csv(run.prefix + "_fisher.csv",
+              ["t", "fisher_A", "fisher_I", "envelope_A", "envelope_I"], rows)
     if violated and smallness_holds(params):
         print("warning: fisher envelope violated inside the guaranteed regime",
               file=sys.stderr)
@@ -424,15 +411,14 @@ def cmd_fisher(args) -> int:
 def cmd_stationary(args) -> int:
     run = _config(args, "stationary")   # the fixed point reads only the grid geometry
     params = run.params
-    grid = stationary_fixed_point(params, run.probe, tol=run.tol, max_iter=run.max_iter)
+    grid = stationary_fixed_point(params, run.grid, tol=run.tol, max_iter=run.max_iter)
+    xc, w = x_marginal(grid)
+    write_json(run.prefix + "_stationary_summary.json", _run_parameters(   # strict, so first
+        params, run.grid, mass=grid.mass(), mean_x=float(xc @ w),
+        fisher_A=fisher_information(grid, params, coupling_constants(params.gamma).A),
+        smallness=smallness_holds(params)))
     grid_to_csv(grid, run.prefix + "_stationary.csv")
     grid_to_binary(grid, run.prefix + "_stationary")
-    constants = coupling_constants(params.gamma)
-    xc, w = x_marginal(grid)
-    write_json(run.prefix + "_stationary_summary.json", _run_parameters(
-        params, run.probe, mass=grid.mass(), mean_x=float(xc @ w),
-        fisher_A=fisher_information(grid, params, constants.A),
-        smallness=smallness_holds(params)))
     return 0
 
 

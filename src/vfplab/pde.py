@@ -4,8 +4,8 @@ d_t f + v d_x f + (F_f(x) - x) d_v f = gamma d_v(v f + d_v f),
 F_f(x) = -lam * int dK/dx(x - y) f(y, w) dy dw,
 on [-Lx, Lx] x [-Lv, Lv] with zero-flux walls.  Transport and force advection use
 first-order conservative upwinding; the velocity Fokker-Planck operator uses exponentially
-fitted interface weights that annihilate the grid Maxwellian exactly.  The mean-field force
-is frozen at the start of each step, not of each ``vfp_step`` call, which may take many.
+fitted interface weights that annihilate the grid Maxwellian exactly.  The force is frozen
+at each step's start; dt is bounded by the geometry and model alone, for every state.
 """
 
 from __future__ import annotations
@@ -179,16 +179,14 @@ def _weights(Lv: float, nx: int, nv: int) -> tuple[Array, Array, Array, Array, f
     return (*out, dv * dv / float((np.append(bp, 0.0) + np.append(0.0, bm)).max()))
 
 
-def _fixed_cfl(grid: PhaseGrid, params: ModelParams) -> float:
-    """The state-independent CFL terms: x transport at |v| <= Lv, the Fokker-Planck substep."""
-    return min(grid.dx / grid.Lv, _weights(grid.Lv, grid.nx, grid.nv)[4] / params.gamma)
-
-
-def cfl_bound(grid: PhaseGrid, params: ModelParams) -> float:
-    """Largest stable dt (before the safety factor) for the current state; nan for a nan force."""
-    force = mean_field_force(params, grid.x_centers, x_marginal(grid))
-    speed, fixed = np.abs(force - grid.x_centers).max(), _fixed_cfl(grid, params)
-    return fixed if speed == 0 else min(grid.dv / speed, fixed)
+def cfl_bound(grid, params: ModelParams) -> float:
+    """Largest stable transport dt (before the safety factor) for every density on the geometry
+    of ``grid`` (anything with Lx, Lv, nx, nv): min(dx/Lv, dv/S).  S = (Lx - dx/2) + lam max_k
+    |K'(k dx)|, k = -(nx-1)..nx-1, bounds each v speed, an x-marginal mean of x_i + lam K'."""
+    dx, dv = 2.0 * grid.Lx / grid.nx, 2.0 * grid.Lv / grid.nv
+    gaps = np.arange(1 - grid.nx, grid.nx) * dx
+    speed = grid.Lx - 0.5 * dx + params.lam * float(np.abs(params.kernel.d1(gaps)).max())
+    return min(dv / speed, dx / grid.Lv)   # dv / speed first, so a nan speed stays nan
 
 
 def _upwind(f: Array, k: int, lo: Array, hi: Array, scales: list, flux: Array, tmp: Array) -> None:
@@ -209,37 +207,39 @@ def _upwind(f: Array, k: int, lo: Array, hi: Array, scales: list, flux: Array, t
 def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig,
              n_steps: int = 1) -> PhaseGrid:
     """Advance the density by ``n_steps`` steps of the configured splitting, in place on one
-    copy of ``grid.data``, with the force frozen at the start of each step.
-
-    Raises a configuration error when dt exceeds the CFL budget for the frozen force (a nan
-    force included), and a scheme error if positivity degrades beyond clamping; an error's
-    ``t`` is that of the failing step."""
+    copy of ``grid.data``: the force is frozen at the start of each step, and the Fokker-Planck
+    substep runs m = ceil(dt / (cfl_safety * its positivity limit)) times at dt / m.  Raises a
+    configuration error before the first step if dt exceeds cfl_safety * cfl_bound, and at a
+    step with a non-finite force; a scheme error if positivity degrades beyond clamping.  An
+    error's ``t`` is that of the failing step."""
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ConfigurationError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if (grid.nx, grid.nv) != (cfg.nx, cfg.nv) or (grid.Lx, grid.Lv) != (cfg.Lx, cfg.Lv):
         raise ConfigurationError("grid geometry does not match the configuration")
     xc, dx, dv, nv = grid.x_centers, grid.dx, grid.dv, grid.nv
-    vp, vm, bp, bm, _ = _weights(grid.Lv, grid.nx, nv)
-    fixed, dt = _fixed_cfl(grid, params), cfg.dt
+    vp, vm, bp, bm, diffusive = _weights(grid.Lv, grid.nx, nv)
+    bound, dt = cfg.cfl_safety * cfl_bound(grid, params), cfg.dt
+    if not dt <= bound * (1.0 + 1e-9):   # a nan bound fails too
+        raise ConfigurationError(f"dt={dt:g} violates the CFL bound {bound:g} at t={grid.t:g}")
+    m = max(1, math.ceil(dt * params.gamma / (cfg.cfl_safety * diffusive * (1.0 + 1e-9))))
     h = dt if cfg.splitting == "lie" else 0.5 * dt   # Lie: Strang's first three substeps
     work = np.empty((4, grid.nx, nv))   # v speeds >= 0, <= 0, two flux buffers: one allocation
     work[:2, :, -1] = 0.0   # no v flux across a row end of the flat array
     sp, sm, *scratch = work.reshape(4, -1)[:, :-1]
-    # Fokker-Planck: (gamma/dv) (B(w) f_j - B(-w) f_j+1), then dt/dv; one product rounds otherwise
-    sweeps = [(nv, vp, vm, [h / dx]), (1, sp, sm, [h / dv]),
-              (1, bp, bm, [params.gamma / dv, dt / dv])]
+    # Fokker-Planck m times: (gamma/dv) (B(w) f_j - B(-w) f_j+1), then dt/m/dv (dt/dv at m = 1)
+    sweeps = [((nv, vp, vm, [h / dx]), 1), ((1, sp, sm, [h / dv]), 1),
+              ((1, bp, bm, [params.gamma / dv, dt / m / dv]), m)]
     sweeps += sweeps[1::-1] if cfg.splitting == "strang" else []   # then v and x again
     data = grid.data.copy()
     f, t = data.reshape(-1), grid.t
     for step in range(n_steps):
         speed = mean_field_force(params, xc, (xc, data.sum(axis=1) * dx * dv)) - xc
-        top = np.abs(speed).max()
-        bound = cfg.cfl_safety * (fixed if top == 0 else min(dv / top, fixed))
-        if not dt <= bound * (1.0 + 1e-9):   # a nan force leaves a nan budget
-            raise ConfigurationError(f"dt={dt:g} violates the CFL budget {bound:g} at t={t:g}")
+        if not np.isfinite(speed).all():
+            raise ConfigurationError(f"non-finite mean-field force at t={t:g}")
         work[:2, :, :-1] = np.where([speed > 0.0, speed < 0.0], speed, 0.0)[:, :, None]
-        for sweep in sweeps:
-            _upwind(f, *sweep, *scratch)
+        for sweep, repeats in sweeps:
+            for _ in range(repeats):
+                _upwind(f, *sweep, *scratch)
         lowest = data.min()
         if lowest < -1e-13:
             raise SchemeError(f"negative cell {lowest:g} beyond clamp tolerance at t={t:g}")

@@ -40,6 +40,19 @@ def test_worker_runs_every_tiny_workload(tmp_path, workload):
     assert workloads.check(workload, cfg, prefix) == []
 
 
+def test_worker_runs_a_lyapunov_config_with_an_auto_dt(tmp_path):
+    # the worker builds GridConfig(dt=dt, **geometry) from parse_grid, so "auto" must resolve
+    prefix = str(tmp_path / "run")
+    cfg, cli_seed = workloads.make_config("lyapunov", 3, prefix, "tiny")
+    cfg["grid"]["dt"] = "auto"
+    config_path, spec_path = tmp_path / "config.json", tmp_path / "spec.json"
+    config_path.write_text(json.dumps(cfg))
+    spec_path.write_text(json.dumps({"command": "lyapunov", "config": str(config_path),
+                                     "seed": cli_seed}))
+    worker.main(str(spec_path), 0.0, False, str(tmp_path / "result.json"))
+    assert json.loads((tmp_path / "result.json").read_text())["exit"] == 0
+
+
 def test_traced_lyapunov_records_the_w2_worker_spans(tmp_path):
     # the W2 solves run inline on the tracing thread, one span per snapshot, and the
     # self-time cover counts each span's time once

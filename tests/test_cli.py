@@ -202,6 +202,22 @@ def test_fisher_report_records_the_auto_dt_of_the_fixed_point(tmp_path, b, lam):
     assert_run_parameters(report, dt=0.9 * 0.5 * cfl_bound(target, params), horizon=0.05)
 
 
+@pytest.mark.parametrize("n", [12, 16, 24, 64])
+def test_fisher_with_an_auto_dt_runs_to_its_horizon(tmp_path, n):
+    # the force grows as the mean moves from 1 towards -1: a dt from the CFL bound of the
+    # state at t = 0 failed the check of a later step; the geometry's bound holds for all
+    config = {"model": {"gamma": 1.0, "lambda": 1.0,
+                        "kernel": {"type": "quadratic_linear", "a": 0.5, "b": 1.0}},
+              "grid": {"Lx": 8.0, "Lv": 8.0, "nx": n, "nv": n, "dt": "auto"},
+              "experiment": {"horizon": 10.0, "initial": {"mean": [1.0, 0.0]}},
+              "output": str(tmp_path / "run")}
+    assert main(["fisher", "--config", write_config(tmp_path / "a.json", config)]) == 0
+    report = json.loads((tmp_path / "run_fisher.json").read_text())
+    params = ModelParams(gamma=1.0, lam=1.0, kernel=builtin_kernel(config["model"]["kernel"]))
+    geometry = GridConfig(Lx=8.0, Lv=8.0, nx=n, nv=n)
+    assert_run_parameters(report, dt=0.9 * 0.5 * cfl_bound(geometry, params), horizon=10.0)
+
+
 def test_lyapunov_w2_column_equals_direct_solves(tmp_path):
     # each row gets its own snapshot's distance, computed inline as the snapshots arrive
     config = small_config("lyapunov", tmp_path)
@@ -301,15 +317,18 @@ def test_no_subcommand_loads_scipy(tmp_path, command):
 
 
 def test_stationary_ignores_the_grid_dt(tmp_path):
+    # no output reads the dt, which is still checked as lyapunov and fisher check theirs
     config = small_config("stationary", tmp_path)
     files = ["run_stationary.csv", "run_stationary.bin", "run_stationary.json",
              "run_stationary_summary.json"]
     del config["grid"]["dt"]
     assert main(["stationary", "--config", write_config(tmp_path / "a.json", config)]) == 0
     plain = [(tmp_path / name).read_bytes() for name in files]
-    config["grid"]["dt"] = -1
+    config["grid"]["dt"] = 0.01
     assert main(["stationary", "--config", write_config(tmp_path / "b.json", config)]) == 0
     assert [(tmp_path / name).read_bytes() for name in files] == plain
+    config["grid"]["dt"] = -1
+    assert main(["stationary", "--config", write_config(tmp_path / "c.json", config)]) == 1
 
 
 def test_lyapunov_witness_search(tmp_path):

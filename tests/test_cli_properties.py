@@ -1,5 +1,6 @@
 """One property over ``cli.main``: any tiny config ends in a documented exit code, never a
-traceback, and a run that exits 1 or 2 leaves no artifact behind."""
+traceback, a run that exits 1 or 2 leaves no artifact behind, and every JSON artifact of
+another run is strict JSON."""
 
 import json
 import os
@@ -70,6 +71,11 @@ cases = st.sampled_from(sorted(CONFIGS)).flatmap(
     lambda command: st.tuples(st.just(command), CONFIGS[command]))
 
 
+def reject_non_finite(token):
+    """A strict reader's answer to NaN, Infinity and -Infinity, which are not JSON."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def tiny_dt(command):
     """A step of 1e-300 over a horizon of 1e10: a step count that overflows an integer."""
     if command in ("contraction", "simulate"):
@@ -100,6 +106,9 @@ def tiny_dt(command):
 @example(case=("oracle", {"model": QUADRATIC, "experiment": {
     "initial": {"cov": [[1e308, 0], [0, 1e308]]}}}), seed=None)
 @example(case=("oracle", {"model": QUADRATIC, "experiment": {"times": [1.7e308]}}), seed=None)
+# its free energies overflow to inf, which strict JSON cannot hold
+@example(case=("oracle", {"model": QUADRATIC, "experiment": {"initial": {"mean": [1e308, 1e308]}}}),
+         seed=None)
 def test_main_exits_with_a_documented_code_and_no_artifact_on_failure(case, seed):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,6 +121,10 @@ def test_main_exits_with_a_documented_code_and_no_artifact_on_failure(case, seed
         assert code in EXIT_CODES
         if code in (1, 2):
             assert sorted(os.listdir(tmp)) == ["config.json"]
+        for name in set(os.listdir(tmp)) - {"config.json"}:
+            if name.endswith(".json"):
+                with open(os.path.join(tmp, name)) as fh:
+                    json.load(fh, parse_constant=reject_non_finite)
 
 
 def keys_of(config, prefix=""):

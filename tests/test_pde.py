@@ -1,6 +1,7 @@
 """Finite-volume solver: conservation, equilibria, moment tracking, refinement."""
 
 import json
+import math
 import weakref
 
 import numpy as np
@@ -152,10 +153,19 @@ def test_one_step_keeps_positivity_and_mass(kernel, gamma, lam, splitting, cfl_s
     assert abs(new.mass() - grid.mass()) <= 1e-12
 
 
+def fokker_planck_limit(grid):
+    """gamma times the largest dt keeping the Fokker-Planck substep positive: dv^2 over the
+    largest cell outflow B(w_j) + B(-w_{j-1})."""
+    w = 0.5 * (grid.v_centers[:-1] + grid.v_centers[1:]) * grid.dv
+    outflow = np.append(_bernoulli(w), 0.0) + np.append(0.0, _bernoulli(-w))
+    return grid.dv * grid.dv / float(outflow.max())
+
+
 def strided_step(grid, params, cfg):
     """The step as written before the sweeps ran on the flat array: the v sweeps on strided
-    (nx, nv - 1) views, fresh temporaries, the Fokker-Planck substep in its own form.  It is
-    the bit-for-bit reference of ``vfp_step``; returns the new data and whether it clamped."""
+    (nx, nv - 1) views, fresh temporaries, the Fokker-Planck substep in its own form, m times at
+    dt / m.  It is the bit-for-bit reference of ``vfp_step``; returns the new data and whether
+    it clamped."""
     def upwind(left, right, lo, hi, c):
         flux = c * (lo * left + hi * right)
         left -= flux
@@ -171,10 +181,13 @@ def strided_step(grid, params, cfg):
     h = cfg.dt if cfg.splitting == "lie" else 0.5 * cfg.dt
     upwind(data[:-1], data[1:], vp, vm, h / dx)
     upwind(data[:, :-1], data[:, 1:], sp, sm, h / dv)
-    flux = (params.gamma / dv) * (bm[None, :] * data[:, 1:] - bp[None, :] * data[:, :-1])
-    c = cfg.dt / dv
-    data[:, :-1] += c * flux
-    data[:, 1:] -= c * flux
+    limit = fokker_planck_limit(grid)
+    m = max(1, math.ceil(cfg.dt * params.gamma / (cfg.cfl_safety * limit * (1.0 + 1e-9))))
+    c = cfg.dt / m / dv
+    for _ in range(m):
+        flux = (params.gamma / dv) * (bm[None, :] * data[:, 1:] - bp[None, :] * data[:, :-1])
+        data[:, :-1] += c * flux
+        data[:, 1:] -= c * flux
     if cfg.splitting == "strang":
         upwind(data[:, :-1], data[:, 1:], sp, sm, h / dv)
         upwind(data[:-1], data[1:], vp, vm, h / dx)
@@ -240,12 +253,13 @@ def test_flat_sweeps_match_the_strided_step_bit_for_bit(kernel, gamma, lam, spli
 
 @pytest.mark.parametrize("splitting, seed", [("lie", 21), ("strang", 221)])
 def test_flat_sweeps_match_the_strided_step_through_the_clamp(splitting, seed):
-    # half the cells empty, dt at the full CFL budget: a cell ends at -1e-17 and is clamped
+    # half the cells empty, dt at the Fokker-Planck substep's limit, so one substep (m = 1):
+    # a cell ends at -1e-17 and is clamped
     rng = np.random.default_rng(seed)
     grid = unit_mass_grid(rng.random((9, 10)) * (rng.random((9, 10)) < 0.5), 2.0, 2.0)
     params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
     cfg = GridConfig(Lx=2.0, Lv=2.0, nx=9, nv=10, cfl_safety=1.0, splitting=splitting,
-                     dt=cfl_bound(grid, params))
+                     dt=fokker_planck_limit(grid) / params.gamma)
     expected, clamped = strided_step(grid, params, cfg)
     assert clamped
     assert vfp_step(grid, params, cfg).data.tobytes() == expected.tobytes()
@@ -255,14 +269,14 @@ def test_flat_sweeps_match_the_strided_step_through_the_clamp(splitting, seed):
 
 
 def test_a_cfl_failure_inside_one_call_matches_the_chained_steps():
-    # the force grows as the mean moves from 1 towards -1 and outruns the auto dt's 0.9 margin
+    # the bound reads only the geometry, so a dt above it fails before the first step
     params = quad_params(lam=1.0, a=0.5, b=1.0)
-    probe = default_grid_config(nx=64, nv=64, dt=1.0)
-    grid = gaussian_grid(probe, [1.0, 0.0], np.eye(2))
-    cfg = default_grid_config(nx=64, nv=64, dt=0.9 * 0.5 * cfl_bound(grid, params))
+    bound = 0.5 * cfl_bound(default_grid_config(nx=64, nv=64), params)
+    cfg = default_grid_config(nx=64, nv=64, dt=1.01 * bound)
+    grid = gaussian_grid(cfg, [1.0, 0.0], np.eye(2))
     failure = outcome(lambda: chained(vfp_step, grid, params, cfg, 400))
     assert failure == (ConfigurationError,
-                       "dt=0.00714286 violates the CFL budget 0.00714121 at t=2.06429")
+                       f"dt={cfg.dt:g} violates the CFL bound {bound:g} at t=0")
     assert outcome(lambda: vfp_step(grid, params, cfg, 400)) == failure
 
 
@@ -281,8 +295,7 @@ def test_a_nan_force_inside_one_call_matches_the_chained_steps(monkeypatch, k):
     failure = outcome(lambda: chained(vfp_step, grid, SINE_BOUNDARY, cfg, 6))
     calls.clear()
     assert outcome(lambda: vfp_step(grid, SINE_BOUNDARY, cfg, 6)) == failure
-    assert failure == (ConfigurationError,
-                       f"dt=0.01 violates the CFL budget nan at t={(k - 1) * 0.01:g}")
+    assert failure == (ConfigurationError, f"non-finite mean-field force at t={(k - 1) * 0.01:g}")
 
 
 @pytest.mark.parametrize("n_steps", [0, -1, 2.5, True, "3", None])
@@ -314,34 +327,30 @@ def test_cfl_bound_formula_without_force():
     params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
     dx = dv = 16.0 / 64.0
     max_speed = np.abs(grid.x_centers).max()  # drift is -x when the force vanishes
-    # the Fokker-Planck substep's largest cell outflow, B(w_j) + B(-w_{j-1})
-    w = 0.5 * (grid.v_centers[:-1] + grid.v_centers[1:]) * dv
-    outflow = np.zeros(64)
-    outflow[:-1] += _bernoulli(w)
-    outflow[1:] += _bernoulli(-w)
-    fokker_planck = dv * dv / outflow.max()
-    assert fokker_planck < dv * dv / 2.0
-    expected = min(dx / 8.0, dv / max_speed, fokker_planck)
+    expected = min(dx / 8.0, dv / max_speed)
     assert cfl_bound(grid, params) == pytest.approx(expected)
 
 
 def test_fokker_planck_substep_keeps_a_wall_spike_nonnegative():
-    # a unit mass one cell from v = Lv: at dt = dv^2/2 the explicit substep
-    # drove that cell to -0.074; the CFL bound's diffusion term prevents it
+    # a unit mass one cell from v = Lv: at dt = dv^2/2 the explicit substep drove that cell
+    # to -0.074; m substeps of dt / m, each within the substep's positivity limit, prevent it
     cfg = default_grid_config(nx=8, nv=128, dt=1.0)
     grid = gaussian_grid(cfg, [0.0, 0.0], np.eye(2))
     params = ModelParams(gamma=1.0, lam=0.0, kernel=builtin_kernel("zero"))
     w = 0.5 * (grid.v_centers[:-1] + grid.v_centers[1:]) * grid.dv
     bp, bm = _bernoulli(w), _bernoulli(-w)
 
-    def after_one_substep(dt):
+    def after_substeps(dt, m=1):
         data = np.zeros(128)
         data[-2] = 1.0
-        _upwind(data, 1, bp, -bm, [params.gamma / grid.dv, dt / grid.dv], *np.empty((2, 127)))
+        for _ in range(m):
+            _upwind(data, 1, bp, -bm, [params.gamma / grid.dv, dt / m / grid.dv],
+                    *np.empty((2, 127)))
         return data
 
-    assert after_one_substep(grid.dv * grid.dv / 2.0).min() < -0.07
-    kept = after_one_substep(cfl_bound(grid, params))
+    assert after_substeps(grid.dv * grid.dv / 2.0).min() < -0.07
+    dt = cfl_bound(grid, params)
+    kept = after_substeps(dt, math.ceil(dt * params.gamma / fokker_planck_limit(grid)))
     assert kept.min() >= 0.0
     assert abs(kept.sum() - 1.0) < 1e-14
 
@@ -466,6 +475,35 @@ def test_first_moments_track_the_closed_form_flow():
         svv = float((snap.v_centers - mv) ** 2 @ w.sum(axis=0))
         assert abs(sxx - ref.cov[0, 0]) < 0.3
         assert abs(svv - ref.cov[1, 1]) < 0.3
+
+
+def grid_moments(snap):
+    """A snapshot's time and its mean and covariance entries (x, v, xx, xv, vv)."""
+    w = snap.data * snap.cell_area()
+    x, v = snap.x_centers[:, None], snap.v_centers[None, :]
+    mx, mv = float((w * x).sum()), float((w * v).sum())
+    dx, dv = x - mx, v - mv
+    return snap.t, [mx, mv, (w * dx * dx).sum(), (w * dx * dv).sum(), (w * dv * dv).sum()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma=st.floats(0.5, 2.0), lam=st.floats(0.0, 1.0), a=st.floats(-0.2, 1.0),
+       b=st.floats(-1.0, 1.0), mean=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_the_grid_converges_at_first_order_to_the_exact_gaussian_flow(gamma, lam, a, b, mean):
+    # a quadratic_linear kernel keeps a Gaussian start Gaussian, and moment_flow gives its
+    # mean and covariance exactly; each halving of the cell must divide the error by 1.8
+    params = ModelParams(gamma=gamma, lam=lam, kernel=builtin_kernel(
+        {"type": "quadratic_linear", "a": a, "b": b}))
+    g0 = GaussianState(mean=list(mean), cov=np.eye(2))
+    errors = []
+    for n in (24, 48, 96):
+        grid = gaussian_grid(GridConfig(Lx=7.0, Lv=7.0, nx=n, nv=n), g0.mean, g0.cov)
+        cfg = GridConfig(Lx=7.0, Lv=7.0, nx=n, nv=n, dt=0.9 * 0.5 * cfl_bound(grid, params))
+        times, moments = zip(*run_vfp(grid, params, cfg, 1.0, 0.5, grid_moments))
+        exact = [[*s.mean, s.cov[0, 0], s.cov[0, 1], s.cov[1, 1]]
+                 for s in moment_flow(g0, params, np.array(times))]
+        errors.append(np.abs(np.subtract(moments, exact)).max())
+    assert errors[0] >= 1.8 * errors[1] and errors[1] >= 1.8 * errors[2], errors
 
 
 # ------------------------------------------------------------- equilibria ---
