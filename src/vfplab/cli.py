@@ -35,8 +35,8 @@ from .pde import SPLITTINGS, GridConfig, PhaseGrid, cfl_bound, gaussian_grid, gr
 FISHER_SLACK = 1.1
 MEMORY_BUDGET = 2 ** 31   # 2 GiB for what a grid or particle run holds, checked as it is read
 GRID_ARRAYS = 20   # a grid run's tracemalloc peak at 128^2 is 17.1-18.2, whatever its snapshots
-PARTICLE_WORDS = 48   # a particle run's tracemalloc peak is at most 40 words a lane, per particle
-                      # the lane steps and per sample it records (see _config)
+PARTICLE_WORDS = 32   # a particle run's tracemalloc peak is at most 26.5 words a lane, per
+                      # particle the lane steps and per sample it records (see _config)
 
 __all__ = ["main"]
 
@@ -447,7 +447,9 @@ def cmd_oracle(args) -> int:
 def cmd_simulate(args) -> int:
     run = _config(args, "simulate")
     rng = np.random.default_rng([run.sim.seed, 424242])
-    chol = np.linalg.cholesky(run.initial.cov)
+    (c00, _), (c10, c11) = run.initial.cov   # its Cholesky factor, rounded as LAPACK's potrf
+    l10 = c10 * (1.0 / math.sqrt(c00))
+    chol = np.array([[math.sqrt(c00), 0.0], [l10, math.sqrt(c11 - l10 * l10)]])
     draws = rng.standard_normal((2, run.n))
     xv = run.initial.mean[:, None] + chol @ draws
     state = ParticleState(x=xv[0], v=xv[1])

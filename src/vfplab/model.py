@@ -239,16 +239,16 @@ def smallness_holds(params: ModelParams) -> bool:
 def coupling_constants(gamma: float) -> CouplingConstants:
     """Contraction geometry for friction ``gamma``.
 
-    A is computed by eigendecomposition of M, so A is symmetric positive
-    definite and A @ A @ M = I to rounding.
+    A = M^{-1/2} = adj(M + s I) / (s t), s = sqrt(det M) = sqrt(b), t = sqrt(tr M + 2 s), since
+    (M + s I) / t is the square root of a 2x2 SPD M: A is SPD and A @ A @ M = I to rounding.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ConfigurationError(f"gamma must be positive and finite, got {gamma}")
     a = min(gamma, 1.0 / gamma) / 2.0
     b = 1.0 + a * a - a * gamma
     M = np.array([[1.0, -a], [-a, b + a * a]])
-    evals, evecs = np.linalg.eigh(M)
-    A = (evecs / np.sqrt(evals)) @ evecs.T
+    s = math.sqrt(b)
+    A = np.array([[M[1, 1] + s, a], [a, 1.0 + s]]) / (s * math.sqrt(1.0 + M[1, 1] + 2.0 * s))
     return CouplingConstants(gamma=gamma, a=a, b=b, M=M, A=A)
 
 

@@ -10,6 +10,7 @@ is deterministic given the two trajectories; its modified norm
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -98,11 +99,10 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-# The one Philox behind every draw.  Its key (seed, stream) and its counter are its whole state,
-# so noise_for_step sets both, with an empty buffer, before each draw: lists set faster than arrays.
-_BITS = np.random.Philox(0)
-_GEN = np.random.Generator(_BITS)
-_STATE = dict(_BITS.state, buffer=[0] * 4)
+@functools.cache
+def _philox() -> tuple:   # the Philox, its Generator and a state template: see noise_for_step
+    bits = np.random.Philox(0)
+    return bits, np.random.Generator(bits), dict(bits.state, buffer=[0] * 4)
 
 
 def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array:
@@ -110,13 +110,15 @@ def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array
 
     Draw i is a pure function of (seed, stream, step_index, i), whatever the particle count,
     the replica batching or the call order.  The step index is the second counter word, so a
-    step can use 2^64 counter blocks before reaching the next step's.  One module-level Philox
-    is rekeyed to (seed, stream) and its counter reset on each call: not thread-safe (vfplab has
-    no threads).
+    step can use 2^64 counter blocks before reaching the next step's.  One Philox, built at the
+    first call so that runs which draw nothing never load numpy.random, is rekeyed to (seed,
+    stream) and its counter reset on each call, with an empty buffer (its whole state; lists set
+    faster than arrays): not thread-safe (vfplab has no threads).
     """
-    _STATE["state"] = {"counter": [0, step_index, 0, 0], "key": [seed, stream]}
-    _BITS.state = _STATE
-    return _GEN.standard_normal(n)
+    bits, gen, state = _philox()
+    state["state"] = {"counter": [0, step_index, 0, 0], "key": [seed, stream]}
+    bits.state = state
+    return gen.standard_normal(n)
 
 
 def _without_self(params: ModelParams, x: Array, sum_all: Callable[[Array], Array]) -> Array:
@@ -288,13 +290,15 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
 
     x, v = np.stack([_contraction_replica(cfg, n_particles, r) for r in range(replicas)], 1)
     noise = np.empty((replicas, 1, n_particles))
-    t, times, mods, eucs = 0.0, [], [], []
+    samples = 1 + -(-n_steps // sample_every)   # t = 0, every sample_every-th step and the last
+    times, (mods, eucs) = np.empty(samples), np.empty((2, replicas, samples))
+    t, s = 0.0, 0
 
     def sample():
-        times.append(t)
+        times[s] = t
         dx, dv = x[:, 0] - x[:, 1], v[:, 0] - v[:, 1]
-        mods.append(modified_norm_sq(dx, dv, constants))
-        eucs.append(euclidean_norm_sq(dx, dv))
+        mods[:, s] = modified_norm_sq(dx, dv, constants)
+        eucs[:, s] = euclidean_norm_sq(dx, dv)
 
     sample()
     for k in range(n_steps):
@@ -303,15 +307,12 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
         t += cfg.dt
         x, v = _advance(x, v, params, cfg, noise, t)
         if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+            s += 1
             sample()
 
-    times = np.array(times)
-    mods, eucs = np.array(mods).T, np.array(eucs).T   # each (replicas, samples)
-
     window = times >= min(horizon / 4.0, times[-2])   # at least the last two samples
-    fitted = np.array([
-        -np.polyfit(times[window], np.log(np.maximum(m[window], 1e-300)), 1)[0]
-        for m in mods])
+    tw = times[window] - times[window].mean()   # each replica's least-squares slope, as polyfit's
+    fitted = -(np.log(np.maximum(mods[:, window], 1e-300)) @ tw) / (tw @ tw)
 
     env_mod = mods[:, :1] * np.exp(-rate * times)[None, :]
     env_euc = 4.0 * eucs[:, :1] * np.exp(-rate * times)[None, :]

@@ -133,12 +133,14 @@ def gaussian_grid(cfg: GridConfig, mean, cov, t: float = 0.0) -> PhaseGrid:
     """Grid representation of a phase-space Gaussian."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    prec = np.linalg.inv(cov)
+    c = cov[0, 1] * cov[1, 0]   # the precision by Schur complements: a diagonal's is 1 / cov
+    p00, p11 = 1.0 / (cov[0, 0] - c / cov[1, 1]), 1.0 / (cov[1, 1] - c / cov[0, 0])
+    p01 = -cov[0, 1] * p00 / cov[1, 1]
 
     def density(x, v):
         cx = x - mean[0]
         cv = v - mean[1]
-        q = prec[0, 0] * cx * cx + 2.0 * prec[0, 1] * cx * cv + prec[1, 1] * cv * cv
+        q = p00 * cx * cx + 2.0 * p01 * cx * cv + p11 * cv * cv
         return np.exp(-0.5 * q)
 
     return grid_from_density(cfg, density, t=t)

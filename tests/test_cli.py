@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -151,6 +152,23 @@ def test_simulate_subcommand(tmp_path):
     assert lines[0] == "t,i,x,v"
     # snapshots at steps 0, 4, 8, 10 with 4 particles each
     assert len(lines) == 1 + 4 * 4
+
+
+def test_simulate_starts_from_the_cholesky_factor_of_its_covariance(tmp_path):
+    # np.linalg.cholesky is the tests' reference only: simulate factors the 2x2 in closed form
+    cov = [[1.3, -0.4], [-0.4, 0.6]]
+    cfg = write_config(tmp_path / "s.json", {
+        "model": {"gamma": 1.0, "lambda": 0.0, "kernel": "zero"},
+        "sim": {"dt": 0.005, "seed": 7, "n_particles": 50},
+        "experiment": {"horizon": 0.005, "sample_dt": 0.005,
+                       "initial": {"mean": [0.5, -1.0], "cov": cov}},
+        "output": str(tmp_path / "run")})
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = np.loadtxt(tmp_path / "run_trajectory.csv", delimiter=",", skiprows=1)
+    start = rows[rows[:, 0] == 0.0]
+    draws = np.random.default_rng([7, 424242]).standard_normal((2, 50))
+    ref = np.array([[0.5], [-1.0]]) + np.linalg.cholesky(cov) @ draws
+    assert np.abs(start[:, 2:].T - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_lyapunov_subcommand(tmp_path):
@@ -308,12 +326,30 @@ def test_lyapunov_w2_samples_and_seed_change_no_output(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["contraction", "lyapunov", "fisher", "stationary",
                                      "oracle", "simulate"])
 def test_no_subcommand_loads_scipy(tmp_path, command):
+    # nor calls a numpy.linalg function or np.polyfit, which raise in the child; import
+    # vfplab.cli leaves numpy.random out, and only the subcommands that draw noise load it
     cfg = write_config(tmp_path / "ok.json", small_config(command, tmp_path))
-    code = ("import sys, vfplab.cli; code = vfplab.cli.main(sys.argv[1:]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = textwrap.dedent("""
+        import json, sys, numpy
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg or np.polyfit called")
+        for name in numpy.linalg.__all__:
+            if callable(getattr(numpy.linalg, name)) and name != "LinAlgError":
+                setattr(numpy.linalg, name, refuse)
+        numpy.polyfit = refuse
+        random = lambda: sorted({"numpy.random", "_hashlib"} & set(sys.modules))
+        import vfplab.cli
+        at_import = random()
+        code = vfplab.cli.main(sys.argv[1:])
+        print(json.dumps([code, at_import, random(),
+                          sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))""")
     out = subprocess.run([sys.executable, "-c", code, command, "--config", cfg],
                          capture_output=True, text=True)
-    assert out.stdout == "0 []\n", out.stderr
+    assert out.returncode == 0, out.stderr
+    code, at_import, after_run, scipy = json.loads(out.stdout)
+    assert code == 0 and at_import == [] and scipy == []
+    if command not in ("contraction", "simulate"):
+        assert after_run == []
 
 
 def test_stationary_ignores_the_grid_dt(tmp_path):
@@ -651,6 +687,7 @@ def test_a_grid_beyond_the_memory_budget_exits_one_before_any_array(tmp_path, ca
 def traced_peak(argv) -> int:
     """The tracemalloc peak of one in-process CLI run that exits 0, sweep coefficients included."""
     vfplab.pde._weights.cache_clear()
+    import numpy.random  # noqa: F401 -- loaded at a run's first draw: module code, no lane's data
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -705,7 +742,7 @@ def test_a_particle_run_beyond_the_memory_budget_exits_one_before_any_array(
 
 
 @pytest.mark.parametrize("command, n, replicas, samples", [
-    ("contraction", 2, 1, 1000),     # one replica: the per-sample arrays and CSV rows dominate
+    ("contraction", 2, 1, 1000),     # one replica: the samples and the JSON report dominate
     ("contraction", 2000, 2, 2),     # the coupled states and the force dominate
     ("simulate", 2, 1, 1000),        # every snapshot is kept until the CSV is written
     ("simulate", 200, 1, 50),

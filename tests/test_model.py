@@ -151,6 +151,14 @@ def test_coupling_identities_across_frictions(gamma):
     assert np.abs(c.A @ c.A @ c.M - np.eye(2)).max() < 1e-12
 
 
+def test_closed_form_a_matches_the_eigendecomposition_root():
+    # numpy.linalg is the tests' reference only: vfplab builds A in closed form
+    for gamma in GAMMA_GRID:
+        c = coupling_constants(gamma)
+        evals, evecs = np.linalg.eigh(c.M)
+        assert np.abs(c.A - (evecs / np.sqrt(evals)) @ evecs.T).max() < 1e-15
+
+
 def test_coupling_constants_reject_bad_friction():
     with pytest.raises(ConfigurationError):
         coupling_constants(0.0)

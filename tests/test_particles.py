@@ -354,6 +354,22 @@ def test_contraction_fit_holds_at_least_two_samples():
     assert np.isclose(report.fitted_rates[0], -(np.log(m1) - np.log(m0)) / (t1 - t0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("horizon, replicas, sample_dt", [
+    (1.0, 3, None),     # a window of several samples
+    (0.05, 1, None),    # the last two samples only
+    (2.0, 2, 0.02),     # a window of 76 samples
+])
+def test_fitted_rates_match_polyfit(horizon, replicas, sample_dt):
+    # np.polyfit is the tests' reference only: vfplab takes every replica's slope at once
+    report = contraction_experiment(sine_params(), SimConfig(dt=0.01, seed=4), 8, horizon,
+                                    replicas=replicas, sample_dt=sample_dt)
+    times = report.times
+    window = times >= min(horizon / 4.0, times[-2])
+    for m, rate in zip(report.modified_norm_sq, report.fitted_rates, strict=True):
+        ref = -np.polyfit(times[window], np.log(m[window]), 1)[0]
+        assert abs(rate - ref) <= 1e-12 * abs(ref)
+
+
 def test_contraction_experiment_flags_broken_smallness():
     params = sine_params(lam=1.0)
     report = contraction_experiment(params, SimConfig(dt=1e-3, seed=1), 8, horizon=0.5)

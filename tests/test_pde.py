@@ -85,6 +85,33 @@ def test_gaussian_grid_moments():
     assert abs(sxv - 0.2) < 1e-3
 
 
+def inverse_gaussian_grid(cfg, mean, cov):
+    """gaussian_grid's density through numpy.linalg.inv, the tests' reference only."""
+    prec = np.linalg.inv(cov)
+
+    def density(x, v):
+        cx, cv = x - mean[0], v - mean[1]
+        return np.exp(-0.5 * (prec[0, 0] * cx * cx + 2.0 * prec[0, 1] * cx * cv
+                              + prec[1, 1] * cv * cv))
+
+    return grid_from_density(cfg, density)
+
+
+def test_gaussian_grid_matches_the_inverse_covariance_density():
+    cfg = default_grid_config(nx=48, nv=40)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        a = rng.normal(size=(2, 2))
+        cov = a @ a.T + 0.05 * np.eye(2)
+        mean = rng.uniform(-2.0, 2.0, 2)
+        ref = inverse_gaussian_grid(cfg, mean, cov).data
+        assert np.abs(gaussian_grid(cfg, mean, cov).data - ref).max() <= 1e-12 * ref.max()
+    # a diagonal covariance's precision is its reciprocal either way, so the bits agree
+    for cov in (np.eye(2), np.diag([0.3, 0.7]), np.diag(rng.uniform(0.1, 3.0, 2))):
+        assert np.array_equal(gaussian_grid(cfg, [1.0, -0.5], cov).data,
+                              inverse_gaussian_grid(cfg, [1.0, -0.5], cov).data)
+
+
 def test_grid_from_density_normalizes():
     cfg = default_grid_config(nx=32, nv=32)
     grid = grid_from_density(cfg, lambda x, v: np.exp(-np.abs(x) - np.abs(v)))
