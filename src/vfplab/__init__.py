@@ -15,6 +15,11 @@ through an interaction kernel K that need not be symmetric.  It provides
 * a CLI that runs the standard experiments and writes CSV/JSON artifacts.
 """
 
+import os
+# Every vfplab BLAS call runs on the calling thread by construction (functionals.SERIAL_GEMM and
+# SERIAL_DOT), so an OpenBLAS pool could only spin. Set before numpy loads; an exported value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import errors, functionals, gaussian, model, particles, pde
 from .errors import *
 from .functionals import *

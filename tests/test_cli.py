@@ -1,6 +1,7 @@
 """CLI subcommands: artifacts, exit codes, reproducibility, validation order."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -204,8 +205,8 @@ def test_lyapunov_report_records_the_auto_dt(tmp_path):
 
 
 @pytest.mark.parametrize("b, lam", [(4.0, 1.0), (8.0, 0.5), (8.0, 1.0)])
-def test_fisher_report_records_the_auto_dt_of_the_fixed_point(tmp_path, b, lam):
-    # the CFL budget of the fixed point it steps, tighter here than that of N(0, I)
+def test_fisher_report_records_the_auto_dt_of_the_geometry(tmp_path, b, lam):
+    # cfl_bound reads only the geometry, so the fixed point it steps yields the same dt
     config = small_config("fisher", tmp_path)
     config["model"] = {"gamma": 1.0, "lambda": lam,
                        "kernel": {"type": "quadratic_linear", "a": 0.5, "b": b}}
@@ -283,9 +284,10 @@ def test_lyapunov_w2_failure_keeps_its_exit_code(tmp_path, monkeypatch):
 
 
 def test_lyapunov_witness_failure_writes_nothing(tmp_path, monkeypatch):
-    # the witness probes step other states, so they can still fail the CFL check after the run
+    # the witness probes step other states after the run, and a non-finite force there is
+    # still a configuration error: no artifact of the finished run may be written
     def failing_witness(*args, **kwargs):
-        raise ConfigurationError("dt=0.004 violates the CFL budget 0.003 at t=0")
+        raise ConfigurationError("non-finite mean-field force at t=0")
 
     monkeypatch.setattr(vfplab.cli, "_lyapunov_witness", failing_witness)
     config = small_config("lyapunov", tmp_path)
@@ -350,6 +352,68 @@ def test_no_subcommand_loads_scipy(tmp_path, command):
     assert code == 0 and at_import == [] and scipy == []
     if command not in ("contraction", "simulate"):
         assert after_run == []
+
+
+BLAS_CHILD = textwrap.dedent("""
+    import json, os, runpy, sys
+    tasks = lambda: len(os.listdir("/proc/self/task"))
+    if sys.argv[1] == "-m":   # as `python -m vfplab` runs it
+        sys.argv = ["vfplab"] + sys.argv[2:]
+        try:
+            runpy.run_module("vfplab", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code, at_import = exc.code, None
+    else:
+        import vfplab.cli
+        at_import = tasks()
+        code = vfplab.cli.main(sys.argv[2:])
+    print(json.dumps([code, at_import, tasks(), os.environ.get("OPENBLAS_NUM_THREADS")]))""")
+
+
+def run_blas_child(tmp_path, entry, threads):
+    """Run a 128^2 lyapunov (w2_grid's GEMMs included) in a fresh interpreter under ``tmp_path``
+    with OPENBLAS_NUM_THREADS=``threads`` (None: unset); return its exit code, its task count
+    after ``import vfplab.cli`` and after the run, and the OPENBLAS_NUM_THREADS it saw."""
+    config = small_config("lyapunov", tmp_path)
+    config["grid"].update(nx=128, nv=128)
+    config["experiment"].update(horizon=0.02, sample_dt=0.02)
+    cfg = write_config(tmp_path / "l.json", config)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", BLAS_CHILD, entry, "lyapunov", "--config", cfg],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="counts threads in /proc/self/task")
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("entry", ["import", "-m"])
+def test_cli_runs_start_no_blas_thread(tmp_path, entry):
+    # every BLAS call is serial by construction, so importing vfplab caps OpenBLAS at one
+    # thread unless the user exported a count
+    code, at_import, after_run, threads = run_blas_child(tmp_path, entry, None)
+    assert (code, at_import, after_run, threads) == (0, None if entry == "-m" else 1, 1, "1")
+    assert run_blas_child(tmp_path, entry, "2")[3] == "2"
+
+
+@needs_proc_tasks
+def test_lyapunov_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # w2_grid's blocked GEMMs and dots stay on the calling thread (SERIAL_GEMM, SERIAL_DOT)
+    files = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        code, _, tasks, _ = run_blas_child(tmp_path / threads, "import", threads)
+        assert code == 0
+        files[threads] = [(tmp_path / threads / f"run_lyapunov.{ext}").read_bytes()
+                          for ext in ("csv", "json")]
+    if tasks == 1:   # of the child with two threads
+        pytest.skip("OpenBLAS started no second thread (one core)")
+    assert files["1"] == files["2"]
 
 
 def test_stationary_ignores_the_grid_dt(tmp_path):
