@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
 from .model import ModelParams, kernel_sum
-from .pde import PhaseGrid, x_marginal
+from .pde import PhaseGrid, _aligned, x_marginal
 
 Array = np.ndarray
 
@@ -202,17 +202,24 @@ def w2_grid(grid_f: PhaseGrid, grid_g: PhaseGrid) -> float:
         return _serial_matmul(_serial_matmul(kx, m), kv)
 
     def dual(a, b):   # e (<a, ln u> + <b, ln v>) at the scalings with u K(v) = a, v K(u) = b
-        u, v, floor = np.sqrt(a), np.sqrt(b), np.maximum(a, 1e-300)
+        # u, v and the gap's scratch r are written in place, on cache lines (see pde._aligned)
+        u, r, floor = np.sqrt(a, out=_aligned(a.shape)), _aligned(a.shape), np.maximum(a, 1e-300)
+        v = u if b is a else np.sqrt(b, out=_aligned(b.shape))
         for _ in range(100_000):
             k_v = gibbs(v)
-            gap = eps * float(((u * k_v - a) ** 2 / floor).sum())   # about e KL(a | u K(v))
+            np.square(np.subtract(np.multiply(u, k_v, out=r), a, out=r), out=r)
+            gap = eps * float(np.divide(r, floor, out=r).sum())   # about e KL(a | u K(v))
             if not gap > W2_TOL:
                 break
-            u = np.sqrt(u * a / k_v) if b is a else a / k_v   # one potential: averaged steps
-            v = u if b is a else b / gibbs(u)
+            if b is a:   # one potential: averaged steps
+                np.sqrt(np.divide(np.multiply(u, a, out=u), k_v, out=u), out=u)
+            else:
+                np.divide(a, k_v, out=u)
+                del k_v   # freed before gibbs(u), so that r adds nothing to the peak
+                np.divide(b, gibbs(u), out=v)
         if not gap <= W2_TOL:   # out of steps, or a scaling overflowed
             raise NonConvergenceError(f"w2_grid: Sinkhorn stopped at a dual gap of {gap:g}", gap)
-        del k_v, floor   # not held beside the four arrays below: cli.GRID_ARRAYS counts the peak
+        del k_v, floor, r   # not held beside the four arrays below: cli.GRID_ARRAYS counts the peak
         terms = [(w[w > 0], np.log(s[w > 0])) for w, s in ((a, u), (b, v))]
         return eps * sum(float(w[i:i + SERIAL_DOT] @ s[i:i + SERIAL_DOT])
                          for w, s in terms for i in range(0, w.size, SERIAL_DOT))

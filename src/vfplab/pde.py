@@ -181,6 +181,13 @@ def _weights(Lv: float, nx: int, nv: int) -> tuple[Array, Array, Array, Array, f
     return (*out, dv * dv / float((np.append(bp, 0.0) + np.append(0.0, bm)).max()))
 
 
+def _aligned(shape: tuple) -> Array:
+    """An uninitialised float64 array on a 64-byte cache line.  numpy starts a large one 16 or 48
+    bytes past a line, where a ufunc's vector stores split and run up to twice as slow."""
+    buf = np.empty(math.prod(shape) + 8)   # a float64 array starts on an 8-byte boundary
+    return buf[-buf.ctypes.data % 64 // 8:][:buf.size - 8].reshape(shape)
+
+
 def cfl_bound(grid, params: ModelParams) -> float:
     """Largest stable transport dt (before the safety factor) for every density on the geometry
     of ``grid`` (anything with Lx, Lv, nx, nv): min(dx/Lv, dv/S).  S = (Lx - dx/2) + lam max_k
@@ -225,14 +232,15 @@ def vfp_step(grid: PhaseGrid, params: ModelParams, cfg: GridConfig,
         raise ConfigurationError(f"dt={dt:g} violates the CFL bound {bound:g} at t={grid.t:g}")
     m = max(1, math.ceil(dt * params.gamma / (cfg.cfl_safety * diffusive * (1.0 + 1e-9))))
     h = dt if cfg.splitting == "lie" else 0.5 * dt   # Lie: Strang's first three substeps
-    work = np.empty((4, grid.nx, nv))   # v speeds >= 0, <= 0, two flux buffers: one allocation
+    work = _aligned((4, grid.nx, nv))   # v speeds >= 0, <= 0, two flux buffers: one allocation
     work[:2, :, -1] = 0.0   # no v flux across a row end of the flat array
     sp, sm, *scratch = work.reshape(4, -1)[:, :-1]
     # Fokker-Planck m times: (gamma/dv) (B(w) f_j - B(-w) f_j+1), then dt/m/dv (dt/dv at m = 1)
     sweeps = [((nv, vp, vm, [h / dx]), 1), ((1, sp, sm, [h / dv]), 1),
               ((1, bp, bm, [params.gamma / dv, dt / m / dv]), m)]
     sweeps += sweeps[1::-1] if cfg.splitting == "strang" else []   # then v and x again
-    data = grid.data.copy()
+    data = _aligned((grid.nx, nv))   # the sweeps write into it: aligned like work
+    np.copyto(data, grid.data)
     f, t = data.reshape(-1), grid.t
     for step in range(n_steps):
         speed = mean_field_force(params, xc, (xc, data.sum(axis=1) * dx * dv)) - xc

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vfplab import (MASK, GaussianState, GridConfig, ModelParams, builtin_kernel, bures_w2,
+from vfplab import (MASK, GaussianState, GridConfig, ModelParams, NonConvergenceError,
+                    PhaseGrid, builtin_kernel, bures_w2,
                     classical_free_energy, coupling_constants, entropy,
                     fisher_information, free_energy_quadratic, gaussian_grid,
                     grid_from_density, kernel_sum, l1_distance, local_equilibrium,
                     quadratic_free_energy, relative_entropy, sample_from_grid,
                     stationary_fixed_point, w2_empirical, w2_grid, x_marginal)
-from vfplab.functionals import _serial_matmul
+from vfplab.functionals import SERIAL_DOT, W2_EPS, W2_TOL, _serial_matmul
 
 CFG = GridConfig(Lx=8.0, Lv=8.0, nx=128, nv=128, dt=1e-3)
 
@@ -354,6 +355,55 @@ def test_w2_grid_is_a_finite_symmetric_divergence(Lx, Lv, nx, nv, shape):
     assert np.isfinite(w) and w >= 0.0
     assert abs(w - w2_grid(g, f)) <= 1e-6 * (1.0 + w)
     assert w2_grid(f, f) <= 1e-4
+
+
+def reference_w2_grid(grid_f, grid_g):
+    """w2_grid with the Sinkhorn duals written as fresh temporaries, before they were written
+    in place into cache-line-aligned arrays; its bit-for-bit reference."""
+    eps = max(W2_EPS, max(2.0 * grid_f.Lx - grid_f.dx, 2.0 * grid_f.Lv - grid_f.dv) ** 2 / 700.0,
+              max(grid_f.dx, grid_f.dv) ** 2 / 4.0)
+    kx, kv = (np.exp(-np.subtract.outer(c, c) ** 2 / eps)
+              for c in (grid_f.x_centers, grid_f.v_centers))
+    p, q = (np.where(g.data >= MASK, g.data, 0.0) for g in (grid_f, grid_g))
+    p, q = p / p.sum(), q / q.sum()
+
+    def gibbs(m):
+        return _serial_matmul(_serial_matmul(kx, m), kv)
+
+    def dual(a, b):
+        u, v, floor = np.sqrt(a), np.sqrt(b), np.maximum(a, 1e-300)
+        for _ in range(100_000):
+            k_v = gibbs(v)
+            gap = eps * float(((u * k_v - a) ** 2 / floor).sum())
+            if not gap > W2_TOL:
+                break
+            u = np.sqrt(u * a / k_v) if b is a else a / k_v
+            v = u if b is a else b / gibbs(u)
+        if not gap <= W2_TOL:
+            raise NonConvergenceError(f"w2_grid: Sinkhorn stopped at a dual gap of {gap:g}", gap)
+        terms = [(w[w > 0], np.log(s[w > 0])) for w, s in ((a, u), (b, v))]
+        return eps * sum(float(w[i:i + SERIAL_DOT] @ s[i:i + SERIAL_DOT])
+                         for w, s in terms for i in range(0, w.size, SERIAL_DOT))
+
+    return math.sqrt(max(dual(p, q) - 0.5 * dual(p, p) - 0.5 * dual(q, q), 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Lx=st.floats(1.0, 10.0), Lv=st.floats(1.0, 10.0), nx=st.integers(8, 32),
+       nv=st.integers(8, 32), seeds=st.tuples(*[st.integers(0, 2 ** 32 - 1)] * 2),
+       empty=st.floats(0.0, 0.8))
+def test_w2_grid_matches_its_temporaries_reference_bit_for_bit(Lx, Lv, nx, nv, seeds, empty):
+    # random densities with a share of empty cells and of cells below the mask, both masked
+    grids = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        data = rng.random((nx, nv)) * (rng.random((nx, nv)) >= empty)
+        data[nx // 2, nv // 2] = 1.0   # some mass above the mask
+        data /= data.sum() * (2.0 * Lx / nx) * (2.0 * Lv / nv)
+        data[(data == 0.0) & (rng.random((nx, nv)) < 0.5)] = 0.5 * MASK
+        grids.append(PhaseGrid(Lx=Lx, Lv=Lv, nx=nx, nv=nv, data=data))
+    f, g = grids
+    assert w2_grid(f, g) == reference_w2_grid(f, g)
 
 
 @pytest.mark.parametrize("distance", [l1_distance, relative_entropy, w2_grid])

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vfplab.pde
+from vfplab import particles
 from vfplab import (ConfigurationError, GaussianState, GridConfig, ModelParams,
                     NonConvergenceError, PhaseGrid, SchemeError, builtin_kernel,
                     cfl_bound, gaussian_grid, grid_from_density, grid_to_binary,
@@ -295,6 +296,34 @@ def test_flat_sweeps_match_the_strided_step_through_the_clamp(splitting, seed):
     assert outcome(lambda: chained(vfp_step, grid, params, cfg, 5)) == five
 
 
+def offset_copy(data, offset):
+    """A copy of ``data`` whose buffer starts ``offset`` bytes past a 64-byte line."""
+    buf = np.empty(data.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    copy = buf[start:start + data.size].reshape(data.shape)
+    copy[...] = data
+    return copy
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("n_steps", [1, 3])
+@pytest.mark.parametrize("nx, nv", [(9, 7), (37, 29), (131, 97)])
+def test_a_stepped_grid_starts_on_a_cache_line_whatever_its_input(splitting, n_steps, nx, nv):
+    # every sweep writes into the stepped copy, and numpy starts a large array (131 x 97 here)
+    # 16 or 48 bytes past a line, where a vector store splits; the input's offset changes no bit
+    params = quad_params(lam=0.5)
+    geometry = dict(Lx=6.0, Lv=5.0, nx=nx, nv=nv, splitting=splitting)
+    grid = gaussian_grid(GridConfig(**geometry), [0.5, -0.3], np.eye(2))
+    cfg = GridConfig(dt=0.9 * 0.5 * cfl_bound(grid, params), **geometry)
+    stepped = vfp_step(grid, params, cfg, n_steps)
+    assert stepped.data.ctypes.data % 64 == 0
+    on_line, off_line = (PhaseGrid(Lx=6.0, Lv=5.0, nx=nx, nv=nv, data=offset_copy(grid.data, k))
+                         for k in (0, 8))
+    assert (on_line.data.ctypes.data % 64, off_line.data.ctypes.data % 64) == (0, 8)
+    assert outcome(lambda: vfp_step(off_line, params, cfg, n_steps)) == outcome(
+        lambda: vfp_step(on_line, params, cfg, n_steps)) == outcome(lambda: stepped)
+
+
 def test_a_cfl_failure_inside_one_call_matches_the_chained_steps():
     # the bound reads only the geometry, so a dt above it fails before the first step
     params = quad_params(lam=1.0, a=0.5, b=1.0)
@@ -531,6 +560,38 @@ def test_the_grid_converges_at_first_order_to_the_exact_gaussian_flow(gamma, lam
                  for s in moment_flow(g0, params, np.array(times))]
         errors.append(np.abs(np.subtract(moments, exact)).max())
     assert errors[0] >= 1.8 * errors[1] and errors[1] >= 1.8 * errors[2], errors
+
+
+def order_parameters(x, weights=None):
+    """E[cos X] and E[sin X]: all that the sine kernel's force reads of the position law."""
+    return np.array([np.average(f(x), weights=weights) for f in (np.cos, np.sin)])
+
+
+def test_the_grid_converges_at_first_order_to_the_particle_system():
+    # no closed form for the sine kernel at lam = 1; 16384 particles (sampling error about
+    # 1/128) are the reference, and the grid's gap in the order parameters must shrink by 1.6
+    # from 64^2 to 128^2, as its first-order error halves
+    params = ModelParams(gamma=1.0, lam=1.0,
+                         kernel=builtin_kernel({"type": "sine", "amplitude": 1.0}))
+    runs = []
+    for n in (64, 128):
+        geometry = dict(Lx=8.0, Lv=8.0, nx=n, nv=n)
+        grid = gaussian_grid(GridConfig(**geometry), [1.5, 0.0], np.eye(2))
+        cfg = GridConfig(dt=0.9 * 0.5 * cfl_bound(grid, params), **geometry)   # "auto"
+        runs.append(run_vfp(grid, params, cfg, 2.0, 0.5,
+                            lambda s: (s.t, order_parameters(*x_marginal(s))))[1:])
+    sim = particles.SimConfig(dt=1e-3, seed=11)
+    rng = np.random.default_rng(sim.seed)
+    state = particles.ParticleState(x=1.5 + rng.standard_normal(16384),
+                                    v=rng.standard_normal(16384))
+    matched, reference = {round(t / sim.dt) for rows in runs for t, _ in rows}, {}
+    for k in range(max(matched)):
+        state = particles.step(state, params, sim, particles.noise_for_step(sim.seed, k, state.n))
+        if k + 1 in matched:
+            reference[k + 1] = order_parameters(state.x)
+    gap64, gap128 = (max(np.abs(m - reference[round(t / sim.dt)]).max() for t, m in rows)
+                     for rows in runs)
+    assert gap64 >= 1.6 * gap128, (gap64, gap128)
 
 
 # ------------------------------------------------------------- equilibria ---
