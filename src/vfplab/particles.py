@@ -80,7 +80,7 @@ class CoupledPair:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time step, integrator choice, and base seed for noise streams."""
+    """Time step, integrator choice, and the seed that keys every step's noise draw."""
 
     dt: float = 1e-3
     integrator: str = "kinetic_splitting"
@@ -105,18 +105,18 @@ def _philox() -> tuple:   # the Philox, its Generator and a state template: see 
     return bits, np.random.Generator(bits), dict(bits.state, buffer=[0] * 4)
 
 
-def noise_for_step(seed: int, step_index: int, n: int, stream: int = 0) -> Array:
+def noise_for_step(seed: int, step_index: int, n: int) -> Array:
     """Standard normal draws for one step, from a counter-based generator.
 
-    Draw i is a pure function of (seed, stream, step_index, i), whatever the particle count,
-    the replica batching or the call order.  The step index is the second counter word, so a
-    step can use 2^64 counter blocks before reaching the next step's.  One Philox, built at the
-    first call so that runs which draw nothing never load numpy.random, is rekeyed to (seed,
-    stream) and its counter reset on each call, with an empty buffer (its whole state; lists set
-    faster than arrays): not thread-safe (vfplab has no threads).
+    Draw i is a pure function of (seed, step_index, i), whatever the call order, so a shorter
+    draw is a prefix of a longer one.  The step index is the second counter word, so a step can
+    use 2^64 counter blocks before reaching the next step's.  One Philox, built at the first call
+    so that runs which draw nothing never load numpy.random, is rekeyed to (seed, 0) and its
+    counter reset on each call, with an empty buffer (its whole state; lists set faster than
+    arrays): not thread-safe (vfplab has no threads).
     """
     bits, gen, state = _philox()
-    state["state"] = {"counter": [0, step_index, 0, 0], "key": [seed, stream]}
+    state["state"] = {"counter": [0, step_index, 0, 0], "key": [seed, 0]}
     bits.state = state
     return gen.standard_normal(n)
 
@@ -216,6 +216,19 @@ def euclidean_norm_sq(dx: Array, dv: Array) -> Array:
     return _sum_sq(dx) + _sum_sq(dv)
 
 
+def _trajectory(x: Array, v: Array, params: ModelParams, cfg: SimConfig, n_steps: int,
+                every: int, noise_shape: tuple, t: float = 0.0):
+    """Yield (t, x, v) at the start, after every ``every``-th step and after the last one; step
+    k views one draw of prod(noise_shape) values as ``noise_shape``, broadcast against x."""
+    yield t, x, v
+    for k in range(n_steps):
+        t += cfg.dt
+        noise = noise_for_step(cfg.seed, k, math.prod(noise_shape)).reshape(noise_shape)
+        x, v = _advance(x, v, params, cfg, noise, t)
+        if (k + 1) % every == 0 or k + 1 == n_steps:
+            yield t, x, v
+
+
 def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
              n_steps: int, record_every: int = 1) -> list[ParticleState]:
     """Run ``n_steps`` steps, returning snapshots every ``record_every`` steps.
@@ -225,12 +238,9 @@ def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
     """
     if n_steps < 0 or record_every < 1:
         raise ConfigurationError("n_steps must be >= 0 and record_every >= 1")
-    snaps = [state]
-    for k in range(n_steps):
-        state = step(state, params, cfg, noise_for_step(cfg.seed, k, state.n))
-        if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            snaps.append(state)
-    return snaps
+    return [ParticleState(x=x, v=v, t=t) for t, x, v in
+            _trajectory(state.x, state.v, params, cfg, n_steps, record_every, state.x.shape,
+                        state.t)]
 
 
 @dataclass
@@ -272,8 +282,9 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
     The modified squared norm is checked against exp(-(a/4) t) with slack
     (1 + 10 dt); the Euclidean squared norm against 4 exp(-(a/4) t) with 5%
     integrator slack.  All replicas and both copies of each pair advance as
-    one (replicas, 2, N) array per step; replica r draws its noise from stream
-    r, shared by its two copies, so results match stepping each pair alone.
+    one (replicas, 2, N) array per step.  Each step makes one draw of replicas * N
+    values; replica r takes slice r of it, shared by its two copies, so results
+    match stepping each pair alone with that slice as its noise.
     """
     if n_particles < 2:
         raise ConfigurationError("contraction experiment needs at least 2 particles")
@@ -289,26 +300,13 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
         warnings.append("smallness condition violated: contraction is not guaranteed")
 
     x, v = np.stack([_contraction_replica(cfg, n_particles, r) for r in range(replicas)], 1)
-    noise = np.empty((replicas, 1, n_particles))
     samples = 1 + -(-n_steps // sample_every)   # t = 0, every sample_every-th step and the last
     times, (mods, eucs) = np.empty(samples), np.empty((2, replicas, samples))
-    t, s = 0.0, 0
-
-    def sample():
-        times[s] = t
-        dx, dv = x[:, 0] - x[:, 1], v[:, 0] - v[:, 1]
+    for s, (t, x, v) in enumerate(_trajectory(x, v, params, cfg, n_steps, sample_every,
+                                              (replicas, 1, n_particles))):
+        times[s], dx, dv = t, x[:, 0] - x[:, 1], v[:, 0] - v[:, 1]
         mods[:, s] = modified_norm_sq(dx, dv, constants)
         eucs[:, s] = euclidean_norm_sq(dx, dv)
-
-    sample()
-    for k in range(n_steps):
-        for r in range(replicas):
-            noise[r, 0] = noise_for_step(cfg.seed, k, n_particles, stream=r)
-        t += cfg.dt
-        x, v = _advance(x, v, params, cfg, noise, t)
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            s += 1
-            sample()
 
     window = times >= min(horizon / 4.0, times[-2])   # at least the last two samples
     tw = times[window] - times[window].mean()   # each replica's least-squares slope, as polyfit's

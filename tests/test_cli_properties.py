@@ -48,7 +48,7 @@ horizons, sample_dts = st.floats(0.01, 0.5), st.floats(0.01, 0.5)
 CONFIGS = {
     "contraction": st.fixed_dictionaries({"model": models, "sim": sims, "experiment":
         st.fixed_dictionaries({"horizon": horizons, "sample_dt": sample_dts,
-                               "replicas": st.integers(1, 2)})}),
+                               "replicas": st.integers(1, 4)})}),
     "simulate": st.fixed_dictionaries({"model": models, "sim": sims, "experiment":
         st.fixed_dictionaries({"horizon": horizons, "sample_dt": sample_dts,
                                "initial": initials})}),

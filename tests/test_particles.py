@@ -1,5 +1,6 @@
-"""Particle system: forces, integrators, noise streams, coupled contraction."""
+"""Particle system: forces, integrators, noise draws, coupled contraction."""
 
+import functools
 import json
 import warnings
 
@@ -14,6 +15,7 @@ from vfplab import (ConfigurationError, CoupledPair, DivergenceError, Interactio
                     coupled_step, coupling_constants, direct_pairwise_force,
                     euclidean_norm_sq, modified_norm_sq, noise_for_step,
                     pairwise_force, simulate, smallness_threshold, step)
+from vfplab import particles
 from vfplab.particles import _contraction_replica, force_jacobian_norm_bound_check
 
 SINE = {"type": "sine", "amplitude": 1.0}
@@ -40,16 +42,15 @@ def test_noise_streams_and_steps_are_distinct():
     a = noise_for_step(7, 0, 4096)
     assert not np.array_equal(a, noise_for_step(7, 1, 4096))
     assert not np.array_equal(a, noise_for_step(8, 0, 4096))
-    assert not np.array_equal(a, noise_for_step(7, 0, 4096, stream=1))
     # consecutive steps draw from disjoint counter blocks: no lagged overlap
     b = noise_for_step(7, 1, 4096)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.06
     assert not np.isin(np.round(b, 14), np.round(a, 14)).any()
 
 
-def fresh_noise(seed, step_index, n, stream=0):
+def fresh_noise(seed, step_index, n):
     """The definition of noise_for_step: a Philox generator built for this one draw."""
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     counter = np.array([0, step_index, 0, 0], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
     return gen.standard_normal(n)
@@ -57,7 +58,6 @@ def fresh_noise(seed, step_index, n, stream=0):
 
 _U64 = st.integers(0, 2 ** 64 - 1)
 _CALLS = st.lists(st.tuples(st.one_of(st.sampled_from([0, 7, 2 ** 64 - 1]), _U64),
-                            st.one_of(st.integers(0, 3), _U64),
                             st.one_of(st.integers(0, 5), _U64),
                             st.sampled_from([0, 1, 2, 64]) | st.integers(0, 300)),
                   min_size=1, max_size=30)
@@ -66,10 +66,9 @@ _CALLS = st.lists(st.tuples(st.one_of(st.sampled_from([0, 7, 2 ** 64 - 1]), _U64
 @settings(max_examples=200, deadline=None)
 @given(calls=_CALLS)
 def test_noise_matches_a_fresh_generator_in_any_call_order(calls):
-    # seeds and streams repeat from small pools, steps go back and forth and repeat
-    for seed, stream, k, n in calls:
-        assert np.array_equal(noise_for_step(seed, k, n, stream=stream),
-                              fresh_noise(seed, k, n, stream=stream))
+    # seeds repeat from a small pool, steps go back and forth and repeat
+    for seed, k, n in calls:
+        assert np.array_equal(noise_for_step(seed, k, n), fresh_noise(seed, k, n))
 
 
 def test_mutating_a_noise_draw_leaves_the_next_draw_alone():
@@ -83,9 +82,9 @@ def test_mutating_a_noise_draw_leaves_the_next_draw_alone():
 @pytest.mark.parametrize("bad", [-1, 2 ** 64])
 def test_out_of_range_noise_arguments_raise_and_recover(bad):
     noise_for_step(4, 0, 4)   # the shared generator now holds key (4, 0), so the bad call rekeys it
-    for seed, k, stream in ((bad, 0, 0), (4, bad, 0), (4, 0, bad)):
+    for seed, k in ((bad, 0), (4, bad)):
         with pytest.raises(OverflowError):
-            noise_for_step(seed, k, 4, stream=stream)
+            noise_for_step(seed, k, 4)
     assert np.array_equal(noise_for_step(4, 2, 16), fresh_noise(4, 2, 16))
     assert np.array_equal(noise_for_step(4, 0, 4), fresh_noise(4, 0, 4))
 
@@ -394,7 +393,8 @@ MODELS = st.builds(lambda g, lam, k: ModelParams(gamma=g, lam=lam, kernel=builti
 
 
 def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt, noise=noise_for_step):
-    """Each replica's pair stepped alone by coupled_step, sampled like the experiment."""
+    """Each replica's pair stepped alone by coupled_step, sampled like the experiment; replica
+    r's noise is slice r of the step's one draw of replicas * n values."""
     constants = coupling_constants(params.gamma)
     n_steps = max(1, round(horizon / cfg.dt))
     every = max(1, round(sample_dt / cfg.dt))
@@ -406,7 +406,8 @@ def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt, noise=noise
         mods.append([modified_norm_sq(x - x_tilde, v - v_tilde, constants)])
         eucs.append([euclidean_norm_sq(x - x_tilde, v - v_tilde)])
         for k in range(n_steps):
-            pair = coupled_step(pair, params, cfg, noise(cfg.seed, k, n, stream=r))
+            pair = coupled_step(pair, params, cfg,
+                                noise(cfg.seed, k, replicas * n)[r * n:(r + 1) * n])
             if (k + 1) % every == 0 or k + 1 == n_steps:
                 times.append(pair.z.t)
                 dx, dv = pair.z.x - pair.z_tilde.x, pair.z.v - pair.z_tilde.v
@@ -432,7 +433,7 @@ def test_batched_contraction_matches_per_pair_stepping(params, integrator, n, re
 
 
 def test_contraction_with_more_replicas_than_cached_generators():
-    # more streams per step than a 1024-entry cache of generators could hold
+    # a step's one draw holds 2060 values, and the reference builds a fresh generator for each
     replicas = 1030
     params, cfg = sine_params(), SimConfig(dt=0.01, seed=12)
     report = contraction_experiment(params, cfg, 2, horizon=0.02, replicas=replicas,
@@ -441,6 +442,35 @@ def test_contraction_with_more_replicas_than_cached_generators():
     assert np.array_equal(report.times, times)
     assert np.array_equal(report.modified_norm_sq, mods)
     assert np.array_equal(report.euclid_sq, eucs)
+
+
+def test_contraction_draws_noise_once_per_step(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args[1:], kwargs))
+        return noise_for_step(*args, **kwargs)
+
+    monkeypatch.setattr(particles, "noise_for_step", recording)
+    contraction_experiment(sine_params(), SimConfig(dt=0.01, seed=3), 5, horizon=0.2,
+                           replicas=4, sample_dt=0.05)
+    assert calls == [((k, 4 * 5), {}) for k in range(20)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=MODELS, integrator=st.sampled_from(["euler_maruyama", "kinetic_splitting"]),
+       n=st.integers(2, 64), n_steps=st.integers(1, 40), every=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_replica_zero_matches_a_one_replica_run(params, integrator, n, n_steps, every, seed):
+    # replica 0 draws the prefix of every step's draw, so a one-replica run keeps its bits
+    cfg = SimConfig(dt=0.01, integrator=integrator, seed=seed)
+    run = functools.partial(contraction_experiment, params, cfg, n, horizon=n_steps * cfg.dt,
+                            sample_dt=every * cfg.dt)
+    one = run(replicas=1)
+    for replicas in (2, 3, 4):
+        many = run(replicas=replicas)
+        assert np.array_equal(many.modified_norm_sq[0], one.modified_norm_sq[0])
+        assert np.array_equal(many.euclid_sq[0], one.euclid_sq[0])
 
 
 @settings(max_examples=40, deadline=None)
