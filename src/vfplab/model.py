@@ -279,7 +279,7 @@ def _direct_sum(fn: KernelFn, x: Array, points: Array, weights=None) -> Array:
 
 def _moment(values: Array, weights: Optional[Array]) -> Array:
     """sum_j w_j values_j over the last axis, kept as an axis of length one."""
-    return values.sum(axis=-1, keepdims=True) if weights is None else (values @ weights)[..., None]
+    return np.add.reduce(values, -1, keepdims=True) if weights is None else (values @ weights)[..., None]
 
 
 def kernel_sum(kernel: InteractionKernel, x: Array, points: Array,
@@ -301,6 +301,11 @@ def kernel_sum(kernel: InteractionKernel, x: Array, points: Array,
         return a * (total * (x - m) ** 2 + _moment((y - m) ** 2, weights)) + b * total * (x - m)
     if kernel.kind == "sine":
         (c,) = kernel.coeffs
+        if derivative and y is x and weights is None:   # the particle force: one buffer, one sum
+            cs = np.empty((2,) + x.shape)
+            cx, sx = np.cos(x, out=cs[0]), np.sin(x, out=cs[1])
+            cs *= _moment(cs, None)   # cos x sum_j cos x_j and sin x sum_j sin x_j
+            return np.multiply(np.add(cx, sx, out=cx), c, out=cx)
         cx, sx = np.cos(x), np.sin(x)
         cy, sy = (cx, sx) if y is x else (np.cos(y), np.sin(y))
         if derivative:   # cos(x - y) = cos x cos y + sin x sin y

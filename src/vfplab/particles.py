@@ -105,7 +105,7 @@ def _philox() -> tuple:   # the Philox, its Generator and a state template: see 
     return bits, np.random.Generator(bits), dict(bits.state, buffer=[0] * 4)
 
 
-def noise_for_step(seed: int, step_index: int, n: int) -> Array:
+def noise_for_step(seed: int, step_index: int, n: int, out: Optional[Array] = None) -> Array:
     """Standard normal draws for one step, from a counter-based generator.
 
     Draw i is a pure function of (seed, step_index, i), whatever the call order, so a shorter
@@ -113,12 +113,13 @@ def noise_for_step(seed: int, step_index: int, n: int) -> Array:
     use 2^64 counter blocks before reaching the next step's.  One Philox, built at the first call
     so that runs which draw nothing never load numpy.random, is rekeyed to (seed, 0) and its
     counter reset on each call, with an empty buffer (its whole state; lists set faster than
-    arrays): not thread-safe (vfplab has no threads).
+    arrays): not thread-safe (vfplab has no threads).  ``out`` (n C-contiguous float64 values, any
+    shape) gets the same draws and is returned; numpy gets no size then, as it checks one slowly.
     """
     bits, gen, state = _philox()
     state["state"] = {"counter": [0, step_index, 0, 0], "key": [seed, 0]}
     bits.state = state
-    return gen.standard_normal(n)
+    return gen.standard_normal(None if out is not None and out.size == n else n, out=out)
 
 
 def _without_self(params: ModelParams, x: Array, sum_all: Callable[[Array], Array]) -> Array:
@@ -153,45 +154,60 @@ def force_jacobian_norm_bound_check(params: ModelParams, x: Array, u: Array,
     return float(np.linalg.norm(fd)), 2.0 * params.kernel.d2_sup
 
 
-def _advance(x: Array, v: Array, params: ModelParams, cfg: SimConfig, noise: Array,
-             t: float) -> tuple[Array, Array]:
-    """One integrator step, reaching time ``t``, on (..., N) arrays (one system per row);
-    ``noise`` broadcasts against ``x``, so coupled copies can share its rows."""
-    dt = cfg.dt
-    gamma, lam = params.gamma, params.lam
+@functools.lru_cache(maxsize=64)
+def _factors(gamma: float, dt: float) -> tuple:
+    """The step's factors as read-only 0-d arrays, which ufuncs take faster than Python floats."""
+    return tuple(np.broadcast_to(float(c), ()) for c in (
+        0.5 * dt, dt, gamma, math.exp(-gamma * dt), math.sqrt(2.0 * gamma * dt),
+        math.sqrt(1.0 - math.exp(-2.0 * gamma * dt))))
 
-    if cfg.integrator == "euler_maruyama":
+
+def _advance(z: Array, params: ModelParams, cfg: SimConfig, noise: Array, scratch: Array):
+    """One step of z = [x, v] (2, ..., N) in place, each value rounded as in the formulas of the
+    comments; ``noise`` broadcasts against x (coupled copies share its rows) and is overwritten,
+    as is ``scratch``.  Finiteness is the caller's to check."""
+    x, v = z[0], z[1]   # faster than unpacking z
+    half_dt, dt, gamma, damp, kick_em, kick = _factors(params.gamma, cfg.dt)
+    if cfg.integrator == "euler_maruyama":   # x + v dt;  v - (x + gamma v + lam F) dt + kick noise
         force = pairwise_force(params, x)
-        x_new = x + v * dt
-        v_new = v - (x + gamma * v + lam * force) * dt + math.sqrt(2.0 * gamma * dt) * noise
-    else:  # kinetic_splitting
-        x_half = x + 0.5 * dt * v
-        force = pairwise_force(params, x_half)
-        damp = math.exp(-gamma * dt)
-        kick = math.sqrt(1.0 - math.exp(-2.0 * gamma * dt))
-        v_new = damp * v - (x_half + lam * force) * dt + kick * noise
-        x_new = x_half + 0.5 * dt * v_new
+        force *= params.lam
+        force += np.add(x, np.multiply(v, gamma, out=scratch), out=scratch)
+        force *= dt
+        x += np.multiply(v, dt, out=scratch)
+        v -= force
+        v += np.multiply(noise, kick_em, out=noise)
+    else:   # x += dt/2 v;  damp v - (x + lam F) dt + kick noise;  x += dt/2 v
+        x += np.multiply(v, half_dt, out=scratch)
+        force = pairwise_force(params, x)
+        force *= params.lam
+        force += x
+        force *= dt
+        v *= damp
+        v -= force
+        v += np.multiply(noise, kick, out=noise)
+        x += np.multiply(v, half_dt, out=scratch)
 
-    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
-        finite_v = v_new[np.isfinite(v_new)]
-        max_v = float(np.abs(finite_v).max()) if finite_v.size else math.inf
-        raise DivergenceError(f"non-finite particle state at t={t:g}", t=t, max_velocity=max_v)
-    return x_new, v_new
+
+def _diverged(t: float, v: Array) -> DivergenceError:   # the error for a non-finite state at t
+    return DivergenceError(f"non-finite particle state at t={t:g}", t=t,
+                           max_velocity=max(np.abs(v[np.isfinite(v)]).tolist(), default=math.inf))
 
 
 def step(state: ParticleState, params: ModelParams, cfg: SimConfig,
          noise: Array) -> ParticleState:
     """Advance one time step with the configured integrator.
 
-    ``noise`` must hold N standard normal draws; passing it in keeps the
-    stepper pure and lets a coupled pair share increments exactly.
+    ``noise`` must hold N standard normal draws; passing it in keeps the stepper pure and lets a
+    coupled pair share increments exactly.  The state and the noise are copied, so neither changes.
     """
-    noise = np.asarray(noise, dtype=float)
+    noise = np.array(noise, dtype=float)
     if noise.shape != state.x.shape:
         raise ValueError("noise must have one draw per particle")
-    t_new = state.t + cfg.dt
-    x_new, v_new = _advance(state.x, state.v, params, cfg, noise, t_new)
-    return ParticleState(x=x_new, v=v_new, t=t_new)
+    z, t_new = np.stack([state.x, state.v]), state.t + cfg.dt
+    _advance(z, params, cfg, noise, np.empty_like(noise))
+    if not np.isfinite(z).all():
+        raise _diverged(t_new, z[1])
+    return ParticleState(*z, t=t_new)
 
 
 def coupled_step(pair: CoupledPair, params: ModelParams, cfg: SimConfig,
@@ -216,17 +232,26 @@ def euclidean_norm_sq(dx: Array, dv: Array) -> Array:
     return _sum_sq(dx) + _sum_sq(dv)
 
 
-def _trajectory(x: Array, v: Array, params: ModelParams, cfg: SimConfig, n_steps: int,
-                every: int, noise_shape: tuple, t: float = 0.0):
-    """Yield (t, x, v) at the start, after every ``every``-th step and after the last one; step
-    k views one draw of prod(noise_shape) values as ``noise_shape``, broadcast against x."""
-    yield t, x, v
-    for k in range(n_steps):
+def _trajectory(z: Array, params: ModelParams, cfg: SimConfig, n_steps: int, every: int,
+                noise_shape: tuple, t: float = 0.0, k0: int = 0):
+    """Step z = [x, v] (2, ..., N) in place from step ``k0``, yielding (t, x, v) at the start, after
+    every ``every``-th step and after the last; x and v are views of z, valid until the next step.
+    Step k draws prod(noise_shape) values into one buffer, broadcast against x.  Only the yielded
+    states are checked, since a non-finite value stays so (a particle's own x and v feed its next
+    ones through +, - and positive factors); a failure replays from the last yield step by step."""
+    noise, scratch, last = np.empty(noise_shape), np.empty_like(z[0]), (z.copy(), t, k0)
+    yield t, z[0], z[1]
+    for k in range(k0, n_steps):
         t += cfg.dt
-        noise = noise_for_step(cfg.seed, k, math.prod(noise_shape)).reshape(noise_shape)
-        x, v = _advance(x, v, params, cfg, noise, t)
+        noise_for_step(cfg.seed, k, noise.size, out=noise)
+        _advance(z, params, cfg, noise, scratch)
         if (k + 1) % every == 0 or k + 1 == n_steps:
-            yield t, x, v
+            if not np.isfinite(z).all():
+                if every > 1:   # replay from the last yield, so the error names the exact step
+                    list(_trajectory(last[0], params, cfg, k + 1, 1, noise_shape, *last[1:]))
+                raise _diverged(t, z[1])
+            yield t, z[0], z[1]
+            last = z.copy(), t, k + 1
 
 
 def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
@@ -238,9 +263,9 @@ def simulate(state: ParticleState, params: ModelParams, cfg: SimConfig,
     """
     if n_steps < 0 or record_every < 1:
         raise ConfigurationError("n_steps must be >= 0 and record_every >= 1")
-    return [ParticleState(x=x, v=v, t=t) for t, x, v in
-            _trajectory(state.x, state.v, params, cfg, n_steps, record_every, state.x.shape,
-                        state.t)]
+    return [ParticleState(x=x.copy(), v=v.copy(), t=t) for t, x, v in
+            _trajectory(np.stack([state.x, state.v]), params, cfg, n_steps, record_every,
+                        state.x.shape, state.t)]
 
 
 @dataclass
@@ -299,10 +324,10 @@ def contraction_experiment(params: ModelParams, cfg: SimConfig, n_particles: int
     if not small:
         warnings.append("smallness condition violated: contraction is not guaranteed")
 
-    x, v = np.stack([_contraction_replica(cfg, n_particles, r) for r in range(replicas)], 1)
+    z = np.stack([_contraction_replica(cfg, n_particles, r) for r in range(replicas)], 1)
     samples = 1 + -(-n_steps // sample_every)   # t = 0, every sample_every-th step and the last
     times, (mods, eucs) = np.empty(samples), np.empty((2, replicas, samples))
-    for s, (t, x, v) in enumerate(_trajectory(x, v, params, cfg, n_steps, sample_every,
+    for s, (t, x, v) in enumerate(_trajectory(z, params, cfg, n_steps, sample_every,
                                               (replicas, 1, n_particles))):
         times[s], dx, dv = t, x[:, 0] - x[:, 1], v[:, 0] - v[:, 1]
         mods[:, s] = modified_norm_sq(dx, dv, constants)

@@ -556,6 +556,27 @@ def test_simulate_divergence_exit_code(tmp_path):
         assert main(["simulate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command, experiment, seed, line", [
+    ("simulate", {"horizon": 5000.0, "sample_dt": 100.0, "initial": {"mean": [1.0, 0.0]}}, 0,
+     "divergence: non-finite particle state at t=2420 (t=2420, max |v|=1.57138e+308)"),
+    ("contraction", {"horizon": 5000.0, "replicas": 2, "sample_dt": 100.0}, 1,
+     "divergence: non-finite particle state at t=2420 (t=2420, max |v|=1.09573e+308)"),
+])
+def test_divergence_between_samples_names_its_step(tmp_path, capsys, command, experiment, seed,
+                                                    line):
+    # the state first overflows at step 242, strictly between the samples at t = 2400 and 2500;
+    # the lines are those of a finiteness check after every step
+    cfg = write_config(tmp_path / "d.json", {
+        "model": {"gamma": 1.0, "lambda": 1.0,
+                  "kernel": {"type": "quadratic_linear", "a": 1.0, "b": 0.0}},
+        "sim": {"dt": 10.0, "seed": seed, "n_particles": 4, "integrator": "euler_maruyama"},
+        "experiment": experiment, "output": str(tmp_path / "run"),
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 def test_grid_scheme_failure_exits_two(tmp_path, monkeypatch):
     def failing_step(grid, params, cfg, n_steps=1):
         raise SchemeError(f"negative cell beyond clamp tolerance at t={grid.t:g}")

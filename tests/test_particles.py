@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from vfplab import (ConfigurationError, CoupledPair, DivergenceError, Interactio
                     euclidean_norm_sq, modified_norm_sq, noise_for_step,
                     pairwise_force, simulate, smallness_threshold, step)
 from vfplab import particles
-from vfplab.particles import _contraction_replica, force_jacobian_norm_bound_check
+from vfplab.particles import INTEGRATORS, _contraction_replica, force_jacobian_norm_bound_check
 
 SINE = {"type": "sine", "amplitude": 1.0}
 
@@ -68,7 +69,11 @@ _CALLS = st.lists(st.tuples(st.one_of(st.sampled_from([0, 7, 2 ** 64 - 1]), _U64
 def test_noise_matches_a_fresh_generator_in_any_call_order(calls):
     # seeds repeat from a small pool, steps go back and forth and repeat
     for seed, k, n in calls:
-        assert np.array_equal(noise_for_step(seed, k, n), fresh_noise(seed, k, n))
+        expected = fresh_noise(seed, k, n)
+        assert np.array_equal(noise_for_step(seed, k, n), expected)
+        buf = np.full(n, np.nan)
+        assert noise_for_step(seed, k, n, out=buf) is buf
+        assert buf.tobytes() == expected.tobytes()
 
 
 def test_mutating_a_noise_draw_leaves_the_next_draw_alone():
@@ -257,6 +262,26 @@ def test_simulate_is_bit_identical_and_cadenced():
     assert steps == [0, 3, 6, 9, 10]
 
 
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_simulate_records_copies_that_match_single_steps(integrator, record_every):
+    # the loop steps one array in place: every snapshot must be a copy taken at its own time
+    params, cfg = sine_params(lam=0.5), SimConfig(dt=0.05, integrator=integrator, seed=8)
+    x0, v0 = np.linspace(-1.0, 1.0, 8), np.linspace(1.0, -1.0, 8) ** 3
+    state = ParticleState(x=x0.copy(), v=v0.copy(), t=0.25)
+    snaps = simulate(state, params, cfg, 10, record_every=record_every)
+    expected, current = [state], state
+    for k in range(10):
+        current = step(current, params, cfg, noise_for_step(cfg.seed, k, 8))
+        if (k + 1) % record_every == 0 or k == 9:
+            expected.append(current)
+    assert [s.t for s in snaps] == [e.t for e in expected]
+    for snap, ref in zip(snaps, expected, strict=True):
+        assert snap.x.tobytes() == ref.x.tobytes() and snap.v.tobytes() == ref.v.tobytes()
+    assert len({s.x.tobytes() for s in snaps}) == len(snaps)   # the states do move
+    assert np.array_equal(state.x, x0) and np.array_equal(state.v, v0)
+
+
 # ------------------------------------------------------------- coupling -----
 
 def test_coupled_difference_follows_the_linear_map():
@@ -376,6 +401,39 @@ def test_contraction_experiment_flags_broken_smallness():
     assert any("smallness" in w for w in report.warnings)
 
 
+def reference_advance(x, v, params, cfg, noise):
+    """The definition of a step: the allocating formulas that the in-place kernel must round like.
+    ``noise`` broadcasts against x."""
+    dt, gamma, lam = cfg.dt, params.gamma, params.lam
+    if cfg.integrator == "euler_maruyama":
+        force = pairwise_force(params, x)
+        x_new = x + v * dt
+        v_new = v - (x + gamma * v + lam * force) * dt + math.sqrt(2.0 * gamma * dt) * noise
+    else:  # kinetic_splitting
+        x_half = x + 0.5 * dt * v
+        force = pairwise_force(params, x_half)
+        damp = math.exp(-gamma * dt)
+        kick = math.sqrt(1.0 - math.exp(-2.0 * gamma * dt))
+        v_new = damp * v - (x_half + lam * force) * dt + kick * noise
+        x_new = x_half + 0.5 * dt * v_new
+    return x_new, v_new
+
+
+def first_divergence(params, cfg, x, v, noise_shape, n_steps):
+    """Steps reference_advance with a finiteness check after every step: the (message, t,
+    max_velocity) that the first non-finite state raises, or None."""
+    t = 0.0
+    for k in range(n_steps):
+        t += cfg.dt
+        noise = noise_for_step(cfg.seed, k, math.prod(noise_shape)).reshape(noise_shape)
+        x, v = reference_advance(x, v, params, cfg, noise)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            finite_v = v[np.isfinite(v)]
+            max_v = float(np.abs(finite_v).max()) if finite_v.size else math.inf
+            return f"non-finite particle state at t={t:g}", t, max_v
+    return None
+
+
 # ------------------------------------------- batched vs per-pair stepping ---
 
 _FLOATS = dict(allow_nan=False, allow_infinity=False)
@@ -390,6 +448,66 @@ KERNELS = st.one_of(st.just("zero"), _INNER_KERNELS,
                     st.builds(lambda k: {"type": "symmetrized", "inner": k}, _INNER_KERNELS))
 MODELS = st.builds(lambda g, lam, k: ModelParams(gamma=g, lam=lam, kernel=builtin_kernel(k)),
                    st.floats(0.25, 4.0, **_FLOATS), st.floats(0.0, 1.0, **_FLOATS), KERNELS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=MODELS, integrator=st.sampled_from(INTEGRATORS), n=st.integers(2, 64),
+       replicas=st.none() | st.integers(1, 4), n_steps=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_in_place_step_rounds_like_the_allocating_formulas(params, integrator, n, replicas,
+                                                           n_steps, seed):
+    # (N,) states with (N,) noise, as step and simulate use, and (R, 2, N) coupled pairs with
+    # (R, 1, N) noise, as the contraction experiment uses
+    cfg = SimConfig(dt=0.01, integrator=integrator, seed=seed)
+    shape, noise_shape = ((n,), (n,)) if replicas is None else ((replicas, 2, n), (replicas, 1, n))
+    x, v = 2.0 * np.random.default_rng(seed).standard_normal((2,) + shape)
+    z, scratch = np.stack([x, v]), np.empty(shape)
+    for k in range(n_steps):
+        noise = noise_for_step(seed, k, math.prod(noise_shape)).reshape(noise_shape)
+        x, v = reference_advance(x, v, params, cfg, noise)
+        particles._advance(z, params, cfg, noise.copy(), scratch)
+        assert z[0].tobytes() == x.tobytes() and z[1].tobytes() == v.tobytes()
+
+
+# Euler-Maruyama at dt = 10 is unstable: states overflow after 240 to 320 steps.  With these seeds
+# some particles are still finite then, so max_velocity is a number, and the step falls strictly
+# inside a sample interval for every cadence > 1 below.
+QUADRATIC = ModelParams(gamma=1.0, lam=1.0,
+                        kernel=builtin_kernel({"type": "quadratic_linear", "a": 1.0, "b": 0.0}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("params, seed", [(zero_params(), 1), (QUADRATIC, 0)])
+@pytest.mark.parametrize("record_every", [1, 4, 10])
+def test_simulate_divergence_names_the_first_non_finite_step(params, seed, record_every):
+    cfg = SimConfig(dt=10.0, integrator="euler_maruyama", seed=seed)
+    x0, v0 = np.linspace(0.5, 2.0, 4), np.zeros(4)
+    expected = first_divergence(params, cfg, x0, v0, (4,), 500)
+    state = ParticleState(x=x0, v=v0)
+    with pytest.raises(DivergenceError) as caught:
+        simulate(state, params, cfg, 500, record_every=record_every)
+    with pytest.raises(DivergenceError) as stepped:
+        for k in range(500):
+            state = step(state, params, cfg, noise_for_step(cfg.seed, k, 4))
+    for exc in (caught.value, stepped.value):
+        assert (str(exc), exc.t, exc.max_velocity) == expected
+    assert math.isfinite(expected[2])
+    assert record_every == 1 or round(expected[1] / cfg.dt) % record_every   # not at a sample
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("params, seed", [(zero_params(), 0), (QUADRATIC, 1)])
+@pytest.mark.parametrize("sample_dt", [10.0, 40.0, 100.0])
+def test_contraction_divergence_names_the_first_non_finite_step(params, seed, sample_dt):
+    cfg = SimConfig(dt=10.0, integrator="euler_maruyama", seed=seed)
+    x, v = np.stack([_contraction_replica(cfg, 4, r) for r in range(2)], 1)
+    expected = first_divergence(params, cfg, x, v, (2, 1, 4), 500)
+    with pytest.raises(DivergenceError) as caught:
+        contraction_experiment(params, cfg, 4, horizon=5000.0, replicas=2, sample_dt=sample_dt)
+    assert (str(caught.value), caught.value.t, caught.value.max_velocity) == expected
+    every = round(sample_dt / cfg.dt)
+    assert math.isfinite(expected[2])
+    assert every == 1 or round(expected[1] / cfg.dt) % every   # not at a sample
 
 
 def per_pair_reference(params, cfg, n, horizon, replicas, sample_dt, noise=noise_for_step):
@@ -454,7 +572,11 @@ def test_contraction_draws_noise_once_per_step(monkeypatch):
     monkeypatch.setattr(particles, "noise_for_step", recording)
     contraction_experiment(sine_params(), SimConfig(dt=0.01, seed=3), 5, horizon=0.2,
                            replicas=4, sample_dt=0.05)
-    assert calls == [((k, 4 * 5), {}) for k in range(20)]
+    assert [args for args, _ in calls] == [(k, 4 * 5) for k in range(20)]
+    # every step draws into the same buffer, the only keyword argument
+    buffers = [kwargs.pop("out") for _, kwargs in calls]
+    assert all(kwargs == {} for _, kwargs in calls)
+    assert all(b is buffers[0] for b in buffers) and buffers[0].size == 4 * 5
 
 
 @settings(max_examples=25, deadline=None)
